@@ -5,17 +5,24 @@
  * 5.3 / Fig. 8: FFT2 -> transfer-function Hadamard -> iFFT2), plus the
  * row-parallel FFT2 scaling of one large grid across the thread pool.
  *
- * Emits bench_results/BENCH_fft.json with three sections:
+ * Emits bench_results/BENCH_fft.json with four sections:
  *  - "single_thread": per-size scalar vs SIMD timings of the fused
  *    fft2 + Hadamard + ifft2 pass, run strictly serially. Gate: >= 1.5x
  *    at 512x512 when the SIMD kernel set is compiled in.
  *  - "one_d": per-length 1-D plan timings covering the radix-2/4
- *    (pow-2), generic mixed-radix, and Bluestein code paths.
+ *    (pow-2), mixed-radix (500 = 2^2*5^3, radix-4/5), and Bluestein
+ *    code paths.
  *  - "row_parallel": fft2 wall time with 1/2/4-worker pools. The scaling
  *    gate (>= 1.3x at 4 workers) only applies when the host has >= 4
  *    hardware threads, so single-CPU runners report without failing.
+ *  - "non_pow2": single-thread SIMD FFT2 time (half a forward + inverse
+ *    pair) and its cost in ns per n^2*log2(n^2) at 64..256, medians of
+ *    reps interleaved across sizes. Gate: the per-point cost at 96, 100
+ *    and 200 (2^a*3 and 2^a*5^b grids; 200^2 is the paper's default
+ *    layer) is within 1.5x of 128's, as a median of per-round ratios.
  */
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <vector>
 
@@ -260,6 +267,89 @@ main()
     artifact["row_parallel"] = std::move(parallel_rows);
 
     // ----------------------------------------------------------------
+    // Section 4: the non-power-of-two cliff, single-thread SIMD FFT2.
+    // ----------------------------------------------------------------
+    // 96 = 2^5*3, 100 = 2^2*5^2 and 200 = 2^3*5^2 are gated on their
+    // per-point cost against 128^2. Reps go round-robin across sizes, and
+    // each size's ratio to 128 is taken within a round before the median
+    // over rounds, so a slow phase of a shared host cancels out.
+    const std::vector<std::size_t> cliff_sizes{64, 96, 100, 128, 200, 256};
+    const std::vector<std::size_t> cliff_gated{96, 100, 200};
+    const std::size_t cliff_ref = 128;
+    const double cliff_max_ratio = 1.5;
+    const int cliff_reps = 15;
+    Json cliff_rows;
+    double cliff_worst_ratio = 0;
+    if (simdKernelsCompiled()) {
+        FftKernelModeGuard guard(FftKernelMode::Simd);
+        struct CliffCase
+        {
+            std::size_t n;
+            Fft2d fft;
+            Field work;
+            int pairs; // forward + inverse pairs per sample, ~4 ms
+            std::vector<double> pair_ms;
+        };
+        auto pairMs = [&](CliffCase &c, int pairs) {
+            WallTimer timer;
+            for (int i = 0; i < pairs; ++i) {
+                c.fft.forward(&c.work, &serial_pool);
+                c.fft.inverse(&c.work, &serial_pool);
+            }
+            return timer.milliseconds() / pairs;
+        };
+        std::vector<CliffCase> cases;
+        for (std::size_t n : cliff_sizes) {
+            CliffCase c{n, Fft2d(n, n), randomField(n, 17), 1, {}};
+            pairMs(c, 1); // warm plans and scratch
+            c.pairs = std::max(1, static_cast<int>(4.0 / pairMs(c, 3)));
+            cases.push_back(std::move(c));
+        }
+        for (int rep = 0; rep < cliff_reps; ++rep)
+            for (CliffCase &c : cases)
+                c.pair_ms.push_back(pairMs(c, c.pairs));
+
+        // FFT2 time is half a forward + inverse pair.
+        auto nsPerPoint = [](std::size_t n, double pair_ms) {
+            const double points = static_cast<double>(n * n);
+            return 0.5e6 * pair_ms / (points * std::log2(points));
+        };
+        const CliffCase &ref = *std::find_if(
+            cases.begin(), cases.end(),
+            [&](const CliffCase &c) { return c.n == cliff_ref; });
+
+        std::printf("\nnon-power-of-two cliff: single-thread simd fft2 "
+                    "(median of %d interleaved reps)\n",
+                    cliff_reps);
+        std::printf("%-8s %12s %14s %12s\n", "size", "fft2_us",
+                    "ns_per_point", "vs_128");
+        for (const CliffCase &c : cases) {
+            std::vector<double> round_ratios;
+            for (int rep = 0; rep < cliff_reps; ++rep)
+                round_ratios.push_back(
+                    nsPerPoint(c.n, c.pair_ms[rep]) /
+                    nsPerPoint(cliff_ref, ref.pair_ms[rep]));
+            const double ratio = medianMs(std::move(round_ratios));
+            if (std::find(cliff_gated.begin(), cliff_gated.end(), c.n) !=
+                cliff_gated.end())
+                cliff_worst_ratio = std::max(cliff_worst_ratio, ratio);
+            const double fft2_us = 0.5e3 * medianMs(c.pair_ms);
+            const double ns = nsPerPoint(c.n, medianMs(c.pair_ms));
+            std::printf("%-8zu %12.1f %14.2f %11.2fx\n", c.n, fft2_us, ns,
+                        ratio);
+            Json row;
+            row["size"] = Json(c.n);
+            row["fft2_us"] = Json(fft2_us);
+            row["ns_per_point"] = Json(ns);
+            row["ratio_vs_128"] = Json(ratio);
+            row["reps"] = Json(cliff_reps);
+            row["pairs_per_rep"] = Json(c.pairs);
+            cliff_rows.push(std::move(row));
+        }
+    }
+    artifact["non_pow2"] = std::move(cliff_rows);
+
+    // ----------------------------------------------------------------
     // Hardware-conditioned gates.
     // ----------------------------------------------------------------
     const bool simd_gate_applies = simdKernelsCompiled();
@@ -267,6 +357,9 @@ main()
     const bool scaling_gate_applies = hw_threads >= 4;
     const bool scaling_gate_pass =
         !scaling_gate_applies || four_worker_speedup >= 1.3;
+    const bool cliff_gate_applies = simdKernelsCompiled();
+    const bool cliff_gate_pass =
+        !cliff_gate_applies || cliff_worst_ratio <= cliff_max_ratio;
 
     std::printf("\ngate: simd >= 1.5x at %zu^2 single-thread -> %s "
                 "(%.2fx%s)\n",
@@ -276,6 +369,11 @@ main()
                 scaling_gate_pass ? "PASS" : "FAIL", four_worker_speedup,
                 scaling_gate_applies ? ""
                                      : ", skipped: < 4 hardware threads");
+    std::printf("gate: ns/point at 96, 100, 200 <= %.1fx of %zu^2 -> %s "
+                "(worst %.2fx%s)\n",
+                cliff_max_ratio, cliff_ref,
+                cliff_gate_pass ? "PASS" : "FAIL", cliff_worst_ratio,
+                cliff_gate_applies ? "" : ", skipped: simd not compiled");
 
     Json gates;
     gates["simd_gate_applies"] = Json(simd_gate_applies);
@@ -284,8 +382,11 @@ main()
     gates["scaling_gate_applies"] = Json(scaling_gate_applies);
     gates["scaling_speedup_4w"] = Json(four_worker_speedup);
     gates["scaling_gate_pass"] = Json(scaling_gate_pass);
+    gates["non_pow2_gate_applies"] = Json(cliff_gate_applies);
+    gates["non_pow2_worst_ratio"] = Json(cliff_worst_ratio);
+    gates["non_pow2_gate_pass"] = Json(cliff_gate_pass);
     artifact["gates"] = std::move(gates);
-    const bool pass = simd_gate_pass && scaling_gate_pass;
+    const bool pass = simd_gate_pass && scaling_gate_pass && cliff_gate_pass;
     artifact["pass"] = Json(pass);
 
     const std::string json_path = bench::resultsDir() + "/BENCH_fft.json";

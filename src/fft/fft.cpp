@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "fft/butterflies.hpp"
 #include "utils/sync.hpp"
 #include "utils/thread_pool.hpp"
 
@@ -96,6 +97,29 @@ tlsSoaScratch(std::size_t n)
     return scratch;
 }
 
+/**
+ * Twiddle-free P-point leaf of the SoA recursion (P = 3 or 5): gathers P
+ * interleaved samples `step` Reals apart and writes the P-point DFT as
+ * split real/imag outputs, through the same butterfly as the passes.
+ */
+template <std::size_t P>
+void
+oddPrimeLeaf(const Real *in, std::size_t step, Real *out_re, Real *out_im)
+{
+    Real r[P], i[P];
+    for (std::size_t j = 0; j < P; ++j) {
+        r[j] = in[j * step];
+        i[j] = in[j * step + 1];
+    }
+    if constexpr (P == 3)
+        kernels::detail::butterfly3(r[0], i[0], r[1], i[1], r[2], i[2]);
+    else
+        kernels::detail::butterfly5(r[0], i[0], r[1], i[1], r[2], i[2], r[3],
+                                    i[3], r[4], i[4]);
+    std::copy(r, r + P, out_re);
+    std::copy(i, i + P, out_im);
+}
+
 } // namespace
 
 /**
@@ -121,7 +145,7 @@ struct FftPlan::Impl
     //  - simd_tw holds p-1 unit-stride sub-tables of length m each,
     //    tw[(j-1)*m + k] = exp(-j*2*pi*(j*k)/n_level), j in 1..p-1;
     //  - simd_dft holds the p*p DFT matrix exp(-j*2*pi*t*j/p) for the
-    //    generic-radix kernel (unused for the specialized p = 2 and 4).
+    //    generic-radix kernel (empty for the specialized p = 2, 3, 4, 5).
     std::vector<std::size_t> simd_factors;
     std::vector<std::vector<Real>> simd_tw_re, simd_tw_im;
     std::vector<std::vector<Real>> simd_dft_re, simd_dft_im;
@@ -190,7 +214,7 @@ FftPlan::Impl::buildSimdTables()
         simd_tw_im.push_back(std::move(tw_im));
 
         std::vector<Real> dft_re, dft_im;
-        if (p != 2 && p != 4) {
+        if (p > 5) {
             dft_re.resize(p * p);
             dft_im.resize(p * p);
             for (std::size_t t = 0; t < p; ++t)
@@ -327,6 +351,14 @@ FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
         kernels::radix4Pass(re, im, tw_re, tw_im, m_cur);
         return;
     }
+    if (p == 3) {
+        kernels::radix3Pass(re, im, tw_re, tw_im, m_cur);
+        return;
+    }
+    if (p == 5) {
+        kernels::radix5Pass(re, im, tw_re, tw_im, m_cur);
+        return;
+    }
 
     // Generic radix: stage b_j = a_j * tw_j (b_0 = a_0), then accumulate
     // the p-point DFT rows y_t = sum_j W_p^{tj} * b_j as vectorized
@@ -356,8 +388,8 @@ FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
  * SoA recursion over interleaved input: `in` points at complex sample 0
  * of the sub-transform, strided by `in_stride` complex samples. Reading
  * the interleaved data directly at the gather points saves a full
- * deinterleave pass, and the deepest levels (twiddle-free 2- and 4-point
- * transforms) are unrolled to cut leaf-call overhead.
+ * deinterleave pass, and the deepest levels (twiddle-free 2-, 3-, 4- and
+ * 5-point transforms) are unrolled to cut leaf-call overhead.
  */
 void
 FftPlan::Impl::recurseSoa(const Real *in, std::size_t in_stride,
@@ -377,6 +409,14 @@ FftPlan::Impl::recurseSoa(const Real *in, std::size_t in_stride,
         out_im[0] = a0i + a1i;
         out_re[1] = a0r - a1r;
         out_im[1] = a0i - a1i;
+        return;
+    }
+    if (n_cur == 3) { // odd primes close the radix sequence
+        oddPrimeLeaf<3>(in, step, out_re, out_im);
+        return;
+    }
+    if (n_cur == 5) {
+        oddPrimeLeaf<5>(in, step, out_re, out_im);
         return;
     }
     const std::size_t p = simd_factors[level];

@@ -15,7 +15,8 @@
  *    threads; per-call scratch lives in thread-local storage.
  *  - Inner loops run through the kernel-dispatch layer (fft/kernels.hpp):
  *    the default Simd mode executes split real/imag structure-of-arrays
- *    butterflies (radix-2/4 specialized, generic radix through SoA
+ *    butterflies (radix-2/3/4/5 specialized, with twiddle-free 2- to
+ *    5-point recursion leaves; the primes 7-31 through generic SoA
  *    twiddle products) and vectorized chirp/Hadamard products; Scalar
  *    mode keeps the original std::complex loops as the bit-reference.
  *  - Fft2d shards the independent 1-D row and column transforms of one

@@ -2,6 +2,8 @@
 
 #include <atomic>
 
+#include "fft/butterflies.hpp"
+
 /*
  * LR_SIMD_LOOP marks a loop whose iterations are independent and whose
  * memory accesses are unit-stride, so the compiler may vectorize with
@@ -105,6 +107,68 @@ radix4Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
         im[2 * m + k] = s0i - s2i;
         re[3 * m + k] = s1r - s3i;
         im[3 * m + k] = s1i + s3r;
+    }
+}
+
+void
+radix3Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
+           std::size_t m)
+{
+    const Real *t1r = tw_re, *t1i = tw_im;
+    const Real *t2r = tw_re + m, *t2i = tw_im + m;
+    LR_SIMD_LOOP
+    for (std::size_t k = 0; k < m; ++k) {
+        const Real b1r = re[m + k], b1i = im[m + k];
+        const Real b2r = re[2 * m + k], b2i = im[2 * m + k];
+        Real x0r = re[k], x0i = im[k];
+        Real x1r = b1r * t1r[k] - b1i * t1i[k];
+        Real x1i = b1r * t1i[k] + b1i * t1r[k];
+        Real x2r = b2r * t2r[k] - b2i * t2i[k];
+        Real x2i = b2r * t2i[k] + b2i * t2r[k];
+        detail::butterfly3(x0r, x0i, x1r, x1i, x2r, x2i);
+        re[k] = x0r;
+        im[k] = x0i;
+        re[m + k] = x1r;
+        im[m + k] = x1i;
+        re[2 * m + k] = x2r;
+        im[2 * m + k] = x2i;
+    }
+}
+
+void
+radix5Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
+           std::size_t m)
+{
+    const Real *t1r = tw_re, *t1i = tw_im;
+    const Real *t2r = tw_re + m, *t2i = tw_im + m;
+    const Real *t3r = tw_re + 2 * m, *t3i = tw_im + 2 * m;
+    const Real *t4r = tw_re + 3 * m, *t4i = tw_im + 3 * m;
+    LR_SIMD_LOOP
+    for (std::size_t k = 0; k < m; ++k) {
+        const Real b1r = re[m + k], b1i = im[m + k];
+        const Real b2r = re[2 * m + k], b2i = im[2 * m + k];
+        const Real b3r = re[3 * m + k], b3i = im[3 * m + k];
+        const Real b4r = re[4 * m + k], b4i = im[4 * m + k];
+        Real x0r = re[k], x0i = im[k];
+        Real x1r = b1r * t1r[k] - b1i * t1i[k];
+        Real x1i = b1r * t1i[k] + b1i * t1r[k];
+        Real x2r = b2r * t2r[k] - b2i * t2i[k];
+        Real x2i = b2r * t2i[k] + b2i * t2r[k];
+        Real x3r = b3r * t3r[k] - b3i * t3i[k];
+        Real x3i = b3r * t3i[k] + b3i * t3r[k];
+        Real x4r = b4r * t4r[k] - b4i * t4i[k];
+        Real x4i = b4r * t4i[k] + b4i * t4r[k];
+        detail::butterfly5(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i, x4r, x4i);
+        re[k] = x0r;
+        im[k] = x0i;
+        re[m + k] = x1r;
+        im[m + k] = x1i;
+        re[2 * m + k] = x2r;
+        im[2 * m + k] = x2i;
+        re[3 * m + k] = x3r;
+        im[3 * m + k] = x3i;
+        re[4 * m + k] = x4r;
+        im[4 * m + k] = x4i;
     }
 }
 

@@ -4,8 +4,9 @@
  *
  * The propagation hot path (FFT2 -> transfer-function Hadamard -> iFFT2)
  * spends essentially all of its time in a handful of inner loops: radix
- * butterflies, twiddle multiplies, Bluestein chirp products, and the
- * element-wise complex Hadamard multiply. This header exposes those loops
+ * butterflies (radix-2/3/4/5 specialized, other primes through generic
+ * twiddle multiplies), Bluestein chirp products, and the element-wise
+ * complex Hadamard multiply. This header exposes those loops
  * as explicitly vectorizable kernels in two flavours:
  *
  *  - Scalar: the original std::complex loops, kept verbatim as the
@@ -101,6 +102,17 @@ void radix2Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
  * tw_re[j*m + k] = Re(W_{4m}^{(j+1)k}) for j in {0,1,2}.
  */
 void radix4Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
+                std::size_t m);
+
+/**
+ * Radix-3 and radix-5 butterfly passes over one combine block of length
+ * p*m, with the radix4Pass twiddle layout: p-1 unit-stride sub-tables,
+ * tw_re[(j-1)*m + k] = Re(W_{pm}^{jk}) for j in 1..p-1. The p-point DFT
+ * is the body the engine's twiddle-free 3- and 5-point leaves also use.
+ */
+void radix3Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
+                std::size_t m);
+void radix5Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
                 std::size_t m);
 
 /** out = a * b, element-wise complex multiply over split arrays. */

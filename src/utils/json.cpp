@@ -76,8 +76,15 @@ class Parser
         skipWs();
         char c = peek();
         switch (c) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            if (++depth_ > Json::kMaxDepth)
+                fail("nesting deeper than " +
+                     std::to_string(Json::kMaxDepth) + " levels");
+            Json container = c == '{' ? parseObject() : parseArray();
+            --depth_;
+            return container;
+          }
           case '"': return Json(parseString());
           case 't':
             if (consumeLiteral("true")) return Json(true);
@@ -205,6 +212,7 @@ class Parser
 
     const std::string &text_;
     std::size_t pos_ = 0;
+    int depth_ = 0; // open arrays/objects around the current value
 };
 
 void

@@ -114,7 +114,17 @@ class Json
     /** Serialize with 2-space indentation. */
     std::string pretty(int indent = 0) const;
 
-    /** Parse a JSON document; throws JsonError on malformed input. */
+    /**
+     * Deepest array/object nesting parse() accepts. The parser recurses
+     * once per container, so the limit bounds its stack use on hostile
+     * input such as an HTTP body of 200 000 '['.
+     */
+    static constexpr int kMaxDepth = 256;
+
+    /**
+     * Parse a JSON document; throws JsonError on malformed input,
+     * including nesting deeper than kMaxDepth.
+     */
     static Json parse(const std::string &text);
 
     /** Load/parse a JSON file; throws JsonError on failure. */

@@ -365,6 +365,16 @@ TEST(HttpServer, TypedErrorsMapToHttpStatuses)
         "POST", "/v1/models/digits/infer", bad_priority.dump());
     EXPECT_EQ(bad.status, 400);
 
+    // A body nested past Json::kMaxDepth is a 400, and the server (and
+    // this keep-alive connection) keeps answering afterwards.
+    const HttpResponse deep = client.request(
+        "POST", "/v1/models/digits/infer", std::string(200000, '['));
+    EXPECT_EQ(deep.status, 400);
+    EXPECT_EQ(Json::parse(deep.body).at("status").asString(), "bad_input");
+    const HttpResponse after_deep = client.request(
+        "POST", "/v1/models/digits/infer", body.dump());
+    EXPECT_EQ(after_deep.status, 200);
+
     const HttpResponse wrong_method =
         client.request("GET", "/v1/models/digits/infer");
     EXPECT_EQ(wrong_method.status, 405);

@@ -76,6 +76,35 @@ TEST(Json, MalformedInputThrows)
     EXPECT_THROW(Json::parse("nul"), JsonError);
     EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
     EXPECT_THROW(Json::parse("{}extra"), JsonError);
+
+    // Nesting is capped at Json::kMaxDepth: hostile depth is a typed
+    // error, not a stack overflow, and the limit itself still parses.
+    const std::size_t hostile = 200000;
+    EXPECT_THROW(Json::parse(std::string(hostile, '[')), JsonError);
+    EXPECT_THROW(Json::parse(std::string(hostile, '[') +
+                             std::string(hostile, ']')),
+                 JsonError);
+    std::string deep_object;
+    for (std::size_t i = 0; i < hostile; ++i)
+        deep_object += "{\"k\":";
+    EXPECT_THROW(Json::parse(deep_object), JsonError);
+
+    const std::size_t limit = Json::kMaxDepth;
+    const Json arrays =
+        Json::parse(std::string(limit, '[') + std::string(limit, ']'));
+    EXPECT_TRUE(arrays.isArray());
+    EXPECT_THROW(Json::parse(std::string(limit + 1, '[') +
+                             std::string(limit + 1, ']')),
+                 JsonError);
+    std::string objects;
+    for (std::size_t i = 0; i < limit; ++i)
+        objects += "{\"k\":";
+    objects += "1" + std::string(limit, '}');
+    const Json parsed = Json::parse(objects);
+    const Json *cursor = &parsed;
+    for (std::size_t i = 0; i < limit; ++i)
+        cursor = &cursor->at("k");
+    EXPECT_EQ(cursor->asInt(), 1);
 }
 
 TEST(Json, TypeMismatchThrows)
