@@ -1,25 +1,27 @@
 /**
  * @file
- * FFT kernel-engine benchmark: the SIMD-vectorized SoA kernel set versus
- * the scalar reference kernels on the propagation hot path (paper Section
- * 5.3 / Fig. 8: FFT2 -> transfer-function Hadamard -> iFFT2), plus the
- * row-parallel FFT2 scaling of one large grid across the thread pool.
+ * FFT engine benchmark: the propagation hot path (paper Section 5.3 /
+ * Fig. 8: FFT2 -> transfer-function Hadamard -> iFFT2) single-threaded,
+ * 1-D plans per algorithm path, and the row-parallel FFT2 scaling of one
+ * large grid across the thread pool.
  *
  * Emits bench_results/BENCH_fft.json with four sections:
- *  - "single_thread": per-size scalar vs SIMD timings of the fused
- *    fft2 + Hadamard + ifft2 pass, run strictly serially. Gate: >= 1.5x
- *    at 512x512 when the SIMD kernel set is compiled in.
+ *  - "single_thread": per-size timings of the fused fft2 + Hadamard +
+ *    ifft2 pass, run strictly serially.
  *  - "one_d": per-length 1-D plan timings covering the radix-2/4
  *    (pow-2), mixed-radix (500 = 2^2*5^3, radix-4/5), and Bluestein
  *    code paths.
  *  - "row_parallel": fft2 wall time with 1/2/4-worker pools. The scaling
  *    gate (>= 1.3x at 4 workers) only applies when the host has >= 4
  *    hardware threads, so single-CPU runners report without failing.
- *  - "non_pow2": single-thread SIMD FFT2 time (half a forward + inverse
- *    pair) and its cost in ns per n^2*log2(n^2) at 64..256, medians of
- *    reps interleaved across sizes. Gate: the per-point cost at 96, 100
- *    and 200 (2^a*3 and 2^a*5^b grids; 200^2 is the paper's default
- *    layer) is within 1.5x of 128's, as a median of per-round ratios.
+ *  - "non_pow2": single-thread FFT2 time (half a forward + inverse pair)
+ *    and its cost in ns per n^2*log2(n^2) at 64..256, medians of reps
+ *    interleaved across sizes. Gate: the per-point cost at 96, 100 and
+ *    200 (2^a*3 and 2^a*5^b grids; 200^2 is the paper's default layer)
+ *    is within 1.5x of 128's, as a median of per-round ratios.
+ *
+ * "simd_compiled" records whether the kernels carry `omp simd`
+ * annotations (LIGHTRIDGE_SIMD); the gates apply to both builds.
  */
 #include <algorithm>
 #include <cmath>
@@ -98,7 +100,7 @@ timeMs(int reps, Fn &&fn)
 int
 main()
 {
-    bench::banner("FFT kernel engine: SIMD SoA kernels + row-parallel FFT2",
+    bench::banner("FFT engine: SoA kernels + row-parallel FFT2",
                   "ROADMAP perf item; paper Sec. 5.3 hot path");
 
     const std::size_t hw_threads = std::thread::hardware_concurrency();
@@ -118,57 +120,32 @@ main()
     ThreadPool serial_pool(1);
 
     // ----------------------------------------------------------------
-    // Section 1: single-thread kernel speedup on the fused hot path.
+    // Section 1: single-thread time of the fused hot path.
     // ----------------------------------------------------------------
-    const std::size_t gate_size = 512;
-    std::vector<std::size_t> sizes{128, 256, gate_size};
+    std::vector<std::size_t> sizes{128, 256, 512};
     if (benchFullScale())
         sizes.push_back(1024);
 
-    std::printf("single-thread fft2 + Hadamard + ifft2 "
-                "(scalar vs simd kernels)\n");
-    std::printf("%-8s %12s %12s %9s\n", "size", "scalar_ms", "simd_ms",
-                "speedup");
+    std::printf("single-thread fft2 + Hadamard + ifft2\n");
+    std::printf("%-8s %12s\n", "size", "ms");
 
     Json single_rows;
-    double gate_speedup = 0;
     for (std::size_t n : sizes) {
         Fft2d fft(n, n);
         Field kernel = randomKernel(n, 7);
-        Field input = randomField(n, 11);
+        Field work = randomField(n, 11);
         const int reps = n <= 256 ? 9 : 5;
 
         // The fused pass is forward + unit-modulus Hadamard + inverse, so
         // repeated application keeps magnitudes bounded: the timed region
         // is pure transform work with no staging copies.
-        Field work = input;
-        double scalar_ms, simd_ms = 0;
-        {
-            FftKernelModeGuard guard(FftKernelMode::Scalar);
-            convolvePass(fft, &work, kernel, &serial_pool); // warm scratch
-            scalar_ms = timeMs(reps, [&] {
-                convolvePass(fft, &work, kernel, &serial_pool);
-            });
-        }
-        if (simdKernelsCompiled()) {
-            FftKernelModeGuard guard(FftKernelMode::Simd);
-            work = input;
-            convolvePass(fft, &work, kernel, &serial_pool);
-            simd_ms = timeMs(reps, [&] {
-                convolvePass(fft, &work, kernel, &serial_pool);
-            });
-        }
-
-        double speedup = simd_ms > 0 ? scalar_ms / simd_ms : 0;
-        if (n == gate_size)
-            gate_speedup = speedup;
-        std::printf("%-8zu %12.2f %12.2f %8.2fx\n", n, scalar_ms, simd_ms,
-                    speedup);
+        convolvePass(fft, &work, kernel, &serial_pool); // warm scratch
+        const double ms = timeMs(
+            reps, [&] { convolvePass(fft, &work, kernel, &serial_pool); });
+        std::printf("%-8zu %12.2f\n", n, ms);
         Json row;
         row["size"] = Json(n);
-        row["scalar_ms"] = Json(scalar_ms);
-        row["simd_ms"] = Json(simd_ms);
-        row["speedup"] = Json(speedup);
+        row["ms"] = Json(ms);
         single_rows.push(std::move(row));
     }
     artifact["single_thread"] = std::move(single_rows);
@@ -184,9 +161,8 @@ main()
     std::vector<OneD> lengths{{"radix24_pow2", 512},
                               {"mixed_radix", 500},
                               {"bluestein_prime", 509}};
-    std::printf("\n1-D plan forward (batch of 512 transforms)\n");
-    std::printf("%-18s %6s %12s %12s %9s\n", "path", "n", "scalar_ms",
-                "simd_ms", "speedup");
+    std::printf("\n1-D plan forward + inverse (batch of 256 pairs)\n");
+    std::printf("%-18s %6s %12s\n", "path", "n", "ms");
 
     Json one_d_rows;
     for (const OneD &c : lengths) {
@@ -206,26 +182,13 @@ main()
                 plan->inverse(work.data());
             }
         };
-        double scalar_ms, simd_ms = 0;
-        {
-            FftKernelModeGuard guard(FftKernelMode::Scalar);
-            run_batch();
-            scalar_ms = timeMs(5, run_batch);
-        }
-        if (simdKernelsCompiled()) {
-            FftKernelModeGuard guard(FftKernelMode::Simd);
-            run_batch();
-            simd_ms = timeMs(5, run_batch);
-        }
-        double speedup = simd_ms > 0 ? scalar_ms / simd_ms : 0;
-        std::printf("%-18s %6zu %12.2f %12.2f %8.2fx\n", c.path, c.n,
-                    scalar_ms, simd_ms, speedup);
+        run_batch();
+        const double ms = timeMs(5, run_batch);
+        std::printf("%-18s %6zu %12.2f\n", c.path, c.n, ms);
         Json row;
         row["path"] = Json(c.path);
         row["n"] = Json(c.n);
-        row["scalar_ms"] = Json(scalar_ms);
-        row["simd_ms"] = Json(simd_ms);
-        row["speedup"] = Json(speedup);
+        row["ms"] = Json(ms);
         one_d_rows.push(std::move(row));
     }
     artifact["one_d"] = std::move(one_d_rows);
@@ -237,9 +200,7 @@ main()
     Fft2d par_fft(par_n, par_n);
     Field par_kernel = randomKernel(par_n, 3);
     Field par_input = randomField(par_n, 5);
-    std::printf("\nrow-parallel fft2 + Hadamard + ifft2 at %zu^2 "
-                "(default kernel mode)\n",
-                par_n);
+    std::printf("\nrow-parallel fft2 + Hadamard + ifft2 at %zu^2\n", par_n);
     std::printf("%-10s %12s %9s\n", "workers", "ms", "speedup");
 
     Json parallel_rows;
@@ -267,7 +228,7 @@ main()
     artifact["row_parallel"] = std::move(parallel_rows);
 
     // ----------------------------------------------------------------
-    // Section 4: the non-power-of-two cliff, single-thread SIMD FFT2.
+    // Section 4: the non-power-of-two cliff, single-thread FFT2.
     // ----------------------------------------------------------------
     // 96 = 2^5*3, 100 = 2^2*5^2 and 200 = 2^3*5^2 are gated on their
     // per-point cost against 128^2. Reps go round-robin across sizes, and
@@ -280,113 +241,97 @@ main()
     const int cliff_reps = 15;
     Json cliff_rows;
     double cliff_worst_ratio = 0;
-    if (simdKernelsCompiled()) {
-        FftKernelModeGuard guard(FftKernelMode::Simd);
-        struct CliffCase
-        {
-            std::size_t n;
-            Fft2d fft;
-            Field work;
-            int pairs; // forward + inverse pairs per sample, ~4 ms
-            std::vector<double> pair_ms;
-        };
-        auto pairMs = [&](CliffCase &c, int pairs) {
-            WallTimer timer;
-            for (int i = 0; i < pairs; ++i) {
-                c.fft.forward(&c.work, &serial_pool);
-                c.fft.inverse(&c.work, &serial_pool);
-            }
-            return timer.milliseconds() / pairs;
-        };
-        std::vector<CliffCase> cases;
-        for (std::size_t n : cliff_sizes) {
-            CliffCase c{n, Fft2d(n, n), randomField(n, 17), 1, {}};
-            pairMs(c, 1); // warm plans and scratch
-            c.pairs = std::max(1, static_cast<int>(4.0 / pairMs(c, 3)));
-            cases.push_back(std::move(c));
+    struct CliffCase
+    {
+        std::size_t n;
+        Fft2d fft;
+        Field work;
+        int pairs; // forward + inverse pairs per sample, ~4 ms
+        std::vector<double> pair_ms;
+    };
+    auto pairMs = [&](CliffCase &c, int pairs) {
+        WallTimer timer;
+        for (int i = 0; i < pairs; ++i) {
+            c.fft.forward(&c.work, &serial_pool);
+            c.fft.inverse(&c.work, &serial_pool);
         }
+        return timer.milliseconds() / pairs;
+    };
+    std::vector<CliffCase> cases;
+    for (std::size_t n : cliff_sizes) {
+        CliffCase c{n, Fft2d(n, n), randomField(n, 17), 1, {}};
+        pairMs(c, 1); // warm plans and scratch
+        c.pairs = std::max(1, static_cast<int>(4.0 / pairMs(c, 3)));
+        cases.push_back(std::move(c));
+    }
+    for (int rep = 0; rep < cliff_reps; ++rep)
+        for (CliffCase &c : cases)
+            c.pair_ms.push_back(pairMs(c, c.pairs));
+
+    // FFT2 time is half a forward + inverse pair.
+    auto nsPerPoint = [](std::size_t n, double pair_ms) {
+        const double points = static_cast<double>(n * n);
+        return 0.5e6 * pair_ms / (points * std::log2(points));
+    };
+    const CliffCase &ref = *std::find_if(
+        cases.begin(), cases.end(),
+        [&](const CliffCase &c) { return c.n == cliff_ref; });
+
+    std::printf("\nnon-power-of-two cliff: single-thread fft2 "
+                "(median of %d interleaved reps)\n",
+                cliff_reps);
+    std::printf("%-8s %12s %14s %12s\n", "size", "fft2_us",
+                "ns_per_point", "vs_128");
+    for (const CliffCase &c : cases) {
+        std::vector<double> round_ratios;
         for (int rep = 0; rep < cliff_reps; ++rep)
-            for (CliffCase &c : cases)
-                c.pair_ms.push_back(pairMs(c, c.pairs));
-
-        // FFT2 time is half a forward + inverse pair.
-        auto nsPerPoint = [](std::size_t n, double pair_ms) {
-            const double points = static_cast<double>(n * n);
-            return 0.5e6 * pair_ms / (points * std::log2(points));
-        };
-        const CliffCase &ref = *std::find_if(
-            cases.begin(), cases.end(),
-            [&](const CliffCase &c) { return c.n == cliff_ref; });
-
-        std::printf("\nnon-power-of-two cliff: single-thread simd fft2 "
-                    "(median of %d interleaved reps)\n",
-                    cliff_reps);
-        std::printf("%-8s %12s %14s %12s\n", "size", "fft2_us",
-                    "ns_per_point", "vs_128");
-        for (const CliffCase &c : cases) {
-            std::vector<double> round_ratios;
-            for (int rep = 0; rep < cliff_reps; ++rep)
-                round_ratios.push_back(
-                    nsPerPoint(c.n, c.pair_ms[rep]) /
-                    nsPerPoint(cliff_ref, ref.pair_ms[rep]));
-            const double ratio = medianMs(std::move(round_ratios));
-            if (std::find(cliff_gated.begin(), cliff_gated.end(), c.n) !=
-                cliff_gated.end())
-                cliff_worst_ratio = std::max(cliff_worst_ratio, ratio);
-            const double fft2_us = 0.5e3 * medianMs(c.pair_ms);
-            const double ns = nsPerPoint(c.n, medianMs(c.pair_ms));
-            std::printf("%-8zu %12.1f %14.2f %11.2fx\n", c.n, fft2_us, ns,
-                        ratio);
-            Json row;
-            row["size"] = Json(c.n);
-            row["fft2_us"] = Json(fft2_us);
-            row["ns_per_point"] = Json(ns);
-            row["ratio_vs_128"] = Json(ratio);
-            row["reps"] = Json(cliff_reps);
-            row["pairs_per_rep"] = Json(c.pairs);
-            cliff_rows.push(std::move(row));
-        }
+            round_ratios.push_back(
+                nsPerPoint(c.n, c.pair_ms[rep]) /
+                nsPerPoint(cliff_ref, ref.pair_ms[rep]));
+        const double ratio = medianMs(std::move(round_ratios));
+        if (std::find(cliff_gated.begin(), cliff_gated.end(), c.n) !=
+            cliff_gated.end())
+            cliff_worst_ratio = std::max(cliff_worst_ratio, ratio);
+        const double fft2_us = 0.5e3 * medianMs(c.pair_ms);
+        const double ns = nsPerPoint(c.n, medianMs(c.pair_ms));
+        std::printf("%-8zu %12.1f %14.2f %11.2fx\n", c.n, fft2_us, ns,
+                    ratio);
+        Json row;
+        row["size"] = Json(c.n);
+        row["fft2_us"] = Json(fft2_us);
+        row["ns_per_point"] = Json(ns);
+        row["ratio_vs_128"] = Json(ratio);
+        row["reps"] = Json(cliff_reps);
+        row["pairs_per_rep"] = Json(c.pairs);
+        cliff_rows.push(std::move(row));
     }
     artifact["non_pow2"] = std::move(cliff_rows);
 
     // ----------------------------------------------------------------
     // Hardware-conditioned gates.
     // ----------------------------------------------------------------
-    const bool simd_gate_applies = simdKernelsCompiled();
-    const bool simd_gate_pass = !simd_gate_applies || gate_speedup >= 1.5;
     const bool scaling_gate_applies = hw_threads >= 4;
     const bool scaling_gate_pass =
         !scaling_gate_applies || four_worker_speedup >= 1.3;
-    const bool cliff_gate_applies = simdKernelsCompiled();
-    const bool cliff_gate_pass =
-        !cliff_gate_applies || cliff_worst_ratio <= cliff_max_ratio;
+    const bool cliff_gate_pass = cliff_worst_ratio <= cliff_max_ratio;
 
-    std::printf("\ngate: simd >= 1.5x at %zu^2 single-thread -> %s "
-                "(%.2fx%s)\n",
-                gate_size, simd_gate_pass ? "PASS" : "FAIL", gate_speedup,
-                simd_gate_applies ? "" : ", skipped: simd not compiled");
-    std::printf("gate: row-parallel >= 1.3x at 4 workers -> %s (%.2fx%s)\n",
+    std::printf("\ngate: row-parallel >= 1.3x at 4 workers -> %s (%.2fx%s)\n",
                 scaling_gate_pass ? "PASS" : "FAIL", four_worker_speedup,
                 scaling_gate_applies ? ""
                                      : ", skipped: < 4 hardware threads");
     std::printf("gate: ns/point at 96, 100, 200 <= %.1fx of %zu^2 -> %s "
-                "(worst %.2fx%s)\n",
+                "(worst %.2fx)\n",
                 cliff_max_ratio, cliff_ref,
-                cliff_gate_pass ? "PASS" : "FAIL", cliff_worst_ratio,
-                cliff_gate_applies ? "" : ", skipped: simd not compiled");
+                cliff_gate_pass ? "PASS" : "FAIL", cliff_worst_ratio);
 
     Json gates;
-    gates["simd_gate_applies"] = Json(simd_gate_applies);
-    gates["simd_speedup_512"] = Json(gate_speedup);
-    gates["simd_gate_pass"] = Json(simd_gate_pass);
     gates["scaling_gate_applies"] = Json(scaling_gate_applies);
     gates["scaling_speedup_4w"] = Json(four_worker_speedup);
     gates["scaling_gate_pass"] = Json(scaling_gate_pass);
-    gates["non_pow2_gate_applies"] = Json(cliff_gate_applies);
     gates["non_pow2_worst_ratio"] = Json(cliff_worst_ratio);
     gates["non_pow2_gate_pass"] = Json(cliff_gate_pass);
     artifact["gates"] = std::move(gates);
-    const bool pass = simd_gate_pass && scaling_gate_pass && cliff_gate_pass;
+    const bool pass = scaling_gate_pass && cliff_gate_pass;
     artifact["pass"] = Json(pass);
 
     const std::string json_path = bench::resultsDir() + "/BENCH_fft.json";

@@ -34,12 +34,12 @@ factorize(std::size_t n)
 }
 
 /**
- * Radix sequence for the SIMD engine: pairs of 2s fuse into radix-4
- * levels (half the combine passes over the dominant power-of-two part),
- * any leftover 2 and the odd prime factors follow unchanged.
+ * Radix sequence of the recursion: pairs of 2s fuse into radix-4 levels
+ * (half the combine passes over the dominant power-of-two part), any
+ * leftover 2 and the odd prime factors follow unchanged.
  */
 std::vector<std::size_t>
-groupFactorsForSimd(const std::vector<std::size_t> &factors)
+groupRadices(const std::vector<std::size_t> &factors)
 {
     std::size_t twos = 0;
     std::vector<std::size_t> grouped;
@@ -56,18 +56,8 @@ groupFactorsForSimd(const std::vector<std::size_t> &factors)
     return out;
 }
 
-/** Thread-local scratch buffer, grown on demand. */
-Complex *
-tlsScratch(std::size_t n)
-{
-    static thread_local std::vector<Complex> buffer;
-    if (buffer.size() < n)
-        buffer.resize(n);
-    return buffer.data();
-}
-
 /**
- * Thread-local split real/imag scratch for the SoA engine: recursion
+ * Thread-local split real/imag scratch for the SoA recursion: recursion
  * output and a generic-radix staging block. One set per thread suffices
  * because plan execution uses it strictly nested (a combine finishes with
  * the staging block before its parent starts).
@@ -124,10 +114,9 @@ oddPrimeLeaf(const Real *in, std::size_t step, Real *out_re, Real *out_im)
 
 /**
  * Plan internals. Two strategies:
- *  - Mixed radix: recursion over 'factors', with a per-level twiddle table
- *    tw[level][i] = exp(-j*2*pi*i / n_level). The SIMD engine runs the
- *    same recursion over a radix-grouped factor sequence with split
- *    real/imag twiddle sub-tables feeding the SoA kernels.
+ *  - Mixed radix: split real/imag (SoA) recursion over a radix sequence
+ *    (groupRadices), with per-level twiddle sub-tables feeding the
+ *    kernels in fft/kernels.hpp.
  *  - Bluestein: chirp-z over an internal power-of-two mixed-radix plan.
  */
 struct FftPlan::Impl
@@ -135,20 +124,15 @@ struct FftPlan::Impl
     std::size_t n = 0;
     bool bluestein = false;
 
-    // Mixed-radix state (scalar reference path).
-    std::vector<std::size_t> factors;
-    std::vector<std::size_t> level_sizes;
-    std::vector<std::vector<Complex>> twiddles; // per level, length n_level
-
-    // Mixed-radix state for the SoA/SIMD engine. Per level with radix p
-    // over blocks of length n_level = p * m:
-    //  - simd_tw holds p-1 unit-stride sub-tables of length m each,
+    // Mixed-radix state. Per level with radix p over blocks of length
+    // n_level = p * m:
+    //  - twiddle_{re,im} hold p-1 unit-stride sub-tables of length m each,
     //    tw[(j-1)*m + k] = exp(-j*2*pi*(j*k)/n_level), j in 1..p-1;
-    //  - simd_dft holds the p*p DFT matrix exp(-j*2*pi*t*j/p) for the
+    //  - dft_{re,im} hold the p*p DFT matrix exp(-j*2*pi*t*j/p) for the
     //    generic-radix kernel (empty for the specialized p = 2, 3, 4, 5).
-    std::vector<std::size_t> simd_factors;
-    std::vector<std::vector<Real>> simd_tw_re, simd_tw_im;
-    std::vector<std::vector<Real>> simd_dft_re, simd_dft_im;
+    std::vector<std::size_t> radices;
+    std::vector<std::vector<Real>> twiddle_re, twiddle_im;
+    std::vector<std::vector<Real>> dft_re, dft_im;
 
     // Bluestein state.
     std::size_t m = 0;                      // power-of-two conv length
@@ -156,15 +140,9 @@ struct FftPlan::Impl
     std::vector<Complex> chirp_spectrum;    // FFT_m of conj-chirp kernel
     std::shared_ptr<const FftPlan> inner;   // power-of-two plan of length m
 
-    void buildMixedRadix();
-    void buildSimdTables();
+    void buildMixedRadix(const std::vector<std::size_t> &factors);
     void buildBluestein();
     void executeMixed(Complex *data) const;
-    void recurse(const Complex *in, std::size_t in_stride, Complex *out,
-                 std::size_t n_cur, std::size_t level) const;
-    void combine(Complex *out, std::size_t n_cur, std::size_t p,
-                 std::size_t level) const;
-    void executeMixedSimd(Complex *data) const;
     void recurseSoa(const Real *in, std::size_t in_stride, Real *out_re,
                     Real *out_im, std::size_t n_cur, std::size_t level,
                     SoaScratch *scratch) const;
@@ -174,31 +152,11 @@ struct FftPlan::Impl
 };
 
 void
-FftPlan::Impl::buildMixedRadix()
+FftPlan::Impl::buildMixedRadix(const std::vector<std::size_t> &factors)
 {
-    factors = factorize(n);
+    radices = groupRadices(factors);
     std::size_t cur = n;
-    for (std::size_t p : factors) {
-        level_sizes.push_back(cur);
-        std::vector<Complex> table(cur);
-        for (std::size_t i = 0; i < cur; ++i) {
-            Real angle = -kTwoPi * static_cast<Real>(i) /
-                         static_cast<Real>(cur);
-            table[i] = Complex{std::cos(angle), std::sin(angle)};
-        }
-        twiddles.push_back(std::move(table));
-        cur /= p;
-    }
-    if (simdKernelsCompiled())
-        buildSimdTables();
-}
-
-void
-FftPlan::Impl::buildSimdTables()
-{
-    simd_factors = groupFactorsForSimd(factors);
-    std::size_t cur = n;
-    for (std::size_t p : simd_factors) {
+    for (std::size_t p : radices) {
         const std::size_t m_cur = cur / p;
         std::vector<Real> tw_re((p - 1) * m_cur);
         std::vector<Real> tw_im((p - 1) * m_cur);
@@ -210,24 +168,24 @@ FftPlan::Impl::buildSimdTables()
                 tw_re[(j - 1) * m_cur + k] = std::cos(angle);
                 tw_im[(j - 1) * m_cur + k] = std::sin(angle);
             }
-        simd_tw_re.push_back(std::move(tw_re));
-        simd_tw_im.push_back(std::move(tw_im));
+        twiddle_re.push_back(std::move(tw_re));
+        twiddle_im.push_back(std::move(tw_im));
 
-        std::vector<Real> dft_re, dft_im;
+        std::vector<Real> w_re, w_im;
         if (p > 5) {
-            dft_re.resize(p * p);
-            dft_im.resize(p * p);
+            w_re.resize(p * p);
+            w_im.resize(p * p);
             for (std::size_t t = 0; t < p; ++t)
                 for (std::size_t j = 0; j < p; ++j) {
                     Real angle = -kTwoPi *
                                  static_cast<Real>((t * j) % p) /
                                  static_cast<Real>(p);
-                    dft_re[t * p + j] = std::cos(angle);
-                    dft_im[t * p + j] = std::sin(angle);
+                    w_re[t * p + j] = std::cos(angle);
+                    w_im[t * p + j] = std::sin(angle);
                 }
         }
-        simd_dft_re.push_back(std::move(dft_re));
-        simd_dft_im.push_back(std::move(dft_im));
+        dft_re.push_back(std::move(w_re));
+        dft_im.push_back(std::move(w_im));
         cur = m_cur;
     }
 }
@@ -259,79 +217,8 @@ FftPlan::Impl::buildBluestein()
         if (k != 0)
             kernel[m - k] = b;
     }
-    // The spectrum is baked into the (process-wide cached) plan, so it is
-    // computed with the scalar reference kernels unconditionally: cached
-    // plan data stays identical whatever kernel mode happens to be active
-    // when the plan is first constructed.
-    inner->impl_->executeMixed(kernel.data());
+    inner->forward(kernel.data());
     chirp_spectrum = std::move(kernel);
-}
-
-void
-FftPlan::Impl::combine(Complex *out, std::size_t n_cur, std::size_t p,
-                       std::size_t level) const
-{
-    const std::size_t m_cur = n_cur / p;
-    const std::vector<Complex> &tw = twiddles[level];
-
-    if (p == 2) {
-        for (std::size_t k = 0; k < m_cur; ++k) {
-            Complex a0 = out[k];
-            Complex a1 = out[m_cur + k] * tw[k];
-            out[k] = a0 + a1;
-            out[m_cur + k] = a0 - a1;
-        }
-        return;
-    }
-
-    // Generic radix: gather p strided values, apply the p-point DFT with
-    // twiddles folded in, scatter back to the same positions.
-    Complex a[kMaxDirectRadix];
-    std::size_t cursor[kMaxDirectRadix];
-    std::size_t step[kMaxDirectRadix];
-    for (std::size_t j = 1; j < p; ++j)
-        step[j] = (j * m_cur) % n_cur;
-
-    for (std::size_t k = 0; k < m_cur; ++k) {
-        for (std::size_t j = 0; j < p; ++j)
-            a[j] = out[j * m_cur + k];
-        for (std::size_t j = 1; j < p; ++j)
-            cursor[j] = (j * k) % n_cur;
-        for (std::size_t t = 0; t < p; ++t) {
-            Complex acc = a[0];
-            for (std::size_t j = 1; j < p; ++j) {
-                acc += a[j] * tw[cursor[j]];
-                cursor[j] += step[j];
-                if (cursor[j] >= n_cur)
-                    cursor[j] -= n_cur;
-            }
-            out[t * m_cur + k] = acc;
-        }
-    }
-}
-
-void
-FftPlan::Impl::recurse(const Complex *in, std::size_t in_stride, Complex *out,
-                       std::size_t n_cur, std::size_t level) const
-{
-    if (n_cur == 1) {
-        out[0] = in[0];
-        return;
-    }
-    const std::size_t p = factors[level];
-    const std::size_t m_cur = n_cur / p;
-    for (std::size_t j = 0; j < p; ++j)
-        recurse(in + j * in_stride, in_stride * p, out + j * m_cur, m_cur,
-                level + 1);
-    combine(out, n_cur, p, level);
-}
-
-void
-FftPlan::Impl::executeMixed(Complex *data) const
-{
-    Complex *work = tlsScratch(n);
-    recurse(data, 1, work, n, 0);
-    std::copy(work, work + n, data);
 }
 
 void
@@ -340,8 +227,8 @@ FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
                           SoaScratch *scratch) const
 {
     const std::size_t m_cur = n_cur / p;
-    const Real *tw_re = simd_tw_re[level].data();
-    const Real *tw_im = simd_tw_im[level].data();
+    const Real *tw_re = twiddle_re[level].data();
+    const Real *tw_im = twiddle_im[level].data();
 
     if (p == 2) {
         kernels::radix2Pass(re, im, tw_re, tw_im, m_cur);
@@ -371,8 +258,8 @@ FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
         kernels::cmulSoa(b_re + j * m_cur, b_im + j * m_cur, re + j * m_cur,
                          im + j * m_cur, tw_re + (j - 1) * m_cur,
                          tw_im + (j - 1) * m_cur, m_cur);
-    const Real *dft_re = simd_dft_re[level].data();
-    const Real *dft_im = simd_dft_im[level].data();
+    const Real *w_re = dft_re[level].data();
+    const Real *w_im = dft_im[level].data();
     for (std::size_t t = 0; t < p; ++t) {
         Real *y_re = re + t * m_cur;
         Real *y_im = im + t * m_cur;
@@ -380,7 +267,7 @@ FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
         std::copy(b_im, b_im + m_cur, y_im);
         for (std::size_t j = 1; j < p; ++j)
             kernels::caxpySoa(y_re, y_im, b_re + j * m_cur, b_im + j * m_cur,
-                              dft_re[t * p + j], dft_im[t * p + j], m_cur);
+                              w_re[t * p + j], w_im[t * p + j], m_cur);
     }
 }
 
@@ -419,7 +306,7 @@ FftPlan::Impl::recurseSoa(const Real *in, std::size_t in_stride,
         oddPrimeLeaf<5>(in, step, out_re, out_im);
         return;
     }
-    const std::size_t p = simd_factors[level];
+    const std::size_t p = radices[level];
     if (n_cur == 4 && p == 4) { // twiddle-free 4-point leaf (W_4 = -j)
         Real a0r = in[0], a0i = in[1];
         Real a1r = in[step], a1i = in[step + 1];
@@ -447,7 +334,7 @@ FftPlan::Impl::recurseSoa(const Real *in, std::size_t in_stride,
 }
 
 void
-FftPlan::Impl::executeMixedSimd(Complex *data) const
+FftPlan::Impl::executeMixed(Complex *data) const
 {
     SoaScratch &scratch = tlsSoaScratch(n);
     Real *interleaved = reinterpret_cast<Real *>(data);
@@ -464,41 +351,21 @@ FftPlan::Impl::executeBluestein(Complex *data) const
     // the convolution buffer lives in its own thread-local pool (the inner
     // plan is always mixed-radix, so Bluestein execution never nests) and
     // is grown once per length — steady-state execution allocates nothing.
-    const bool simd = simdKernelsCompiled() &&
-                      fftKernelMode() == FftKernelMode::Simd;
     static thread_local std::vector<Complex> chirp_buffer;
     if (chirp_buffer.size() < m)
         chirp_buffer.resize(m);
     std::fill_n(chirp_buffer.begin(), m, Complex{0, 0});
-    std::vector<Complex> &buffer = chirp_buffer;
-    if (simd) {
-        kernels::cmulInterleavedOut(
-            reinterpret_cast<Real *>(buffer.data()),
-            reinterpret_cast<const Real *>(data),
-            reinterpret_cast<const Real *>(chirp.data()), n);
-    } else {
-        for (std::size_t k = 0; k < n; ++k)
-            buffer[k] = data[k] * chirp[k];
-    }
-    inner->forward(buffer.data());
-    if (simd) {
-        kernels::cmulInterleaved(
-            reinterpret_cast<Real *>(buffer.data()),
-            reinterpret_cast<const Real *>(chirp_spectrum.data()), m);
-    } else {
-        for (std::size_t k = 0; k < m; ++k)
-            buffer[k] *= chirp_spectrum[k];
-    }
-    inner->inverse(buffer.data());
-    if (simd) {
-        kernels::cmulInterleavedOut(
-            reinterpret_cast<Real *>(data),
-            reinterpret_cast<const Real *>(buffer.data()),
-            reinterpret_cast<const Real *>(chirp.data()), n);
-    } else {
-        for (std::size_t k = 0; k < n; ++k)
-            data[k] = buffer[k] * chirp[k];
-    }
+    Real *buffer = reinterpret_cast<Real *>(chirp_buffer.data());
+    kernels::cmulInterleavedOut(buffer, reinterpret_cast<const Real *>(data),
+                                reinterpret_cast<const Real *>(chirp.data()),
+                                n);
+    inner->forward(chirp_buffer.data());
+    kernels::cmulInterleaved(
+        buffer, reinterpret_cast<const Real *>(chirp_spectrum.data()), m);
+    inner->inverse(chirp_buffer.data());
+    kernels::cmulInterleavedOut(reinterpret_cast<Real *>(data), buffer,
+                                reinterpret_cast<const Real *>(chirp.data()),
+                                n);
 }
 
 FftPlan::FftPlan(std::size_t n) : impl_(std::make_unique<Impl>())
@@ -510,7 +377,7 @@ FftPlan::FftPlan(std::size_t n) : impl_(std::make_unique<Impl>())
     bool smooth = factors.empty() ||
                   factors.back() <= kMaxDirectRadix;
     if (smooth)
-        impl_->buildMixedRadix();
+        impl_->buildMixedRadix(factors);
     else
         impl_->buildBluestein();
 }
@@ -530,12 +397,8 @@ FftPlan::forward(Complex *data) const
 {
     if (impl_->n == 1)
         return;
-    if (impl_->bluestein) {
+    if (impl_->bluestein)
         impl_->executeBluestein(data);
-        return;
-    }
-    if (simdKernelsCompiled() && fftKernelMode() == FftKernelMode::Simd)
-        impl_->executeMixedSimd(data);
     else
         impl_->executeMixed(data);
 }

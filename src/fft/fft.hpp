@@ -13,12 +13,12 @@
  *    factor run Bluestein's chirp-z algorithm over a power-of-two plan.
  *  - Plans are immutable after construction and safe to share across
  *    threads; per-call scratch lives in thread-local storage.
- *  - Inner loops run through the kernel-dispatch layer (fft/kernels.hpp):
- *    the default Simd mode executes split real/imag structure-of-arrays
- *    butterflies (radix-2/3/4/5 specialized, with twiddle-free 2- to
- *    5-point recursion leaves; the primes 7-31 through generic SoA
- *    twiddle products) and vectorized chirp/Hadamard products; Scalar
- *    mode keeps the original std::complex loops as the bit-reference.
+ *  - One engine: the recursion runs on split real/imag structure-of-arrays
+ *    data through the kernels in fft/kernels.hpp (radix-2/3/4/5
+ *    butterflies specialized, with twiddle-free 2- to 5-point recursion
+ *    leaves; the primes 7-31 through generic SoA twiddle products), and
+ *    the chirp/Hadamard products use the interleaved kernels. Accuracy
+ *    against the DFT oracle is pinned by kFftKernelTolerance.
  *  - Fft2d shards the independent 1-D row and column transforms of one
  *    large grid across the process thread pool (row-parallel FFT2). The
  *    split is deterministic: results are bitwise-identical to the serial

@@ -1,7 +1,5 @@
 #include "fft/kernels.hpp"
 
-#include <atomic>
-
 #include "fft/butterflies.hpp"
 
 /*
@@ -19,18 +17,6 @@
 
 namespace lightridge {
 
-namespace {
-
-std::atomic<FftKernelMode> &
-kernelModeFlag()
-{
-    static std::atomic<FftKernelMode> mode{
-        simdKernelsCompiled() ? FftKernelMode::Simd : FftKernelMode::Scalar};
-    return mode;
-}
-
-} // namespace
-
 bool
 simdKernelsCompiled()
 {
@@ -39,21 +25,6 @@ simdKernelsCompiled()
 #else
     return false;
 #endif
-}
-
-FftKernelMode
-fftKernelMode()
-{
-    return kernelModeFlag().load(std::memory_order_relaxed);
-}
-
-FftKernelMode
-setFftKernelMode(FftKernelMode mode)
-{
-    if (mode == FftKernelMode::Simd && !simdKernelsCompiled())
-        mode = FftKernelMode::Scalar;
-    kernelModeFlag().store(mode, std::memory_order_relaxed);
-    return mode;
 }
 
 namespace kernels {

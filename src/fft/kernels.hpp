@@ -1,30 +1,22 @@
 /**
  * @file
- * Kernel-dispatch layer for the FFT engine and element-wise complex math.
+ * Inner-loop kernels of the FFT engine and element-wise complex math.
  *
  * The propagation hot path (FFT2 -> transfer-function Hadamard -> iFFT2)
  * spends essentially all of its time in a handful of inner loops: radix
  * butterflies (radix-2/3/4/5 specialized, other primes through generic
  * twiddle multiplies), Bluestein chirp products, and the element-wise
- * complex Hadamard multiply. This header exposes those loops
- * as explicitly vectorizable kernels in two flavours:
+ * complex Hadamard multiply. This header exposes those loops as
+ * structure-of-arrays (split real/imag) and interleaved-pair loops over
+ * plain Real arithmetic with contiguous unit strides. std::complex
+ * multiplies lower to __muldc3 (a libcall with inf/nan fixups) on
+ * GCC/Clang, which blocks vectorization; these loops do not.
  *
- *  - Scalar: the original std::complex loops, kept verbatim as the
- *    bit-reference. std::complex multiplies lower to __muldc3 (a libcall
- *    with inf/nan fixups) on GCC/Clang, which blocks vectorization.
- *  - Simd: structure-of-arrays (split real/imag) and interleaved-pair
- *    loops over plain Real arithmetic with contiguous unit strides,
- *    annotated for vectorization. Compiled only when the configure-time
- *    option LIGHTRIDGE_SIMD is on (the default); the build adds
- *    -fopenmp-simd so the `omp simd` annotations are honoured without
- *    pulling in an OpenMP runtime.
- *
- * Dispatch is a process-wide runtime switch so one binary can execute and
- * cross-check both kernel sets (the property suites do exactly that).
- * Reassociated reductions mean Simd results are not bitwise equal to
- * Scalar results; the contract, enforced by tests, is agreement within
- * kFftKernelTolerance * n for unit-magnitude inputs of length n. Within
- * one mode, results are deterministic and independent of thread count.
+ * With the configure-time option LIGHTRIDGE_SIMD on (the default) the
+ * loops carry `omp simd` annotations and the build adds -fopenmp-simd so
+ * they are honoured without an OpenMP runtime. With it off, the same
+ * loops compile as plain loops. Either way results are deterministic and
+ * independent of thread count.
  */
 #pragma once
 
@@ -34,51 +26,17 @@
 
 namespace lightridge {
 
-/** Which inner-loop kernel set the FFT/Hadamard engine executes. */
-enum class FftKernelMode
-{
-    Scalar, ///< reference std::complex loops (pre-dispatch behaviour)
-    Simd,   ///< vectorizable SoA/interleaved kernels (needs LIGHTRIDGE_SIMD)
-};
-
-/** True when the SIMD kernel set was compiled in (LIGHTRIDGE_SIMD=ON). */
+/** True when the kernels carry `omp simd` annotations (LIGHTRIDGE_SIMD=ON). */
 bool simdKernelsCompiled();
 
-/** Currently active kernel mode (process-wide). */
-FftKernelMode fftKernelMode();
-
 /**
- * Select the kernel mode. Requesting Simd in a build without the SIMD
- * kernels falls back to Scalar; the return value is the mode actually in
- * effect.
- */
-FftKernelMode setFftKernelMode(FftKernelMode mode);
-
-/**
- * Scalar-vs-SIMD agreement bound: for inputs with |x_i| <= 1, transforms
- * of length n (or n*n fields) from the two kernel sets agree within
- * kFftKernelTolerance * n in max absolute difference. Pinned by the
- * property and propagator suites; loosening it is an API change.
+ * Accuracy bound of the FFT engine: for inputs with |x_i| <= 1, a length-n
+ * transform (or an n-element 2-D field) agrees with the O(n^2) DFT oracle
+ * of the test suite within kFftKernelTolerance * n in max absolute
+ * difference. Pinned by the FFT and property suites; loosening it is an
+ * API change.
  */
 inline constexpr Real kFftKernelTolerance = 1e-11;
-
-/** RAII guard: set a kernel mode for one scope, restore on exit. */
-class FftKernelModeGuard
-{
-  public:
-    explicit FftKernelModeGuard(FftKernelMode mode)
-        : previous_(fftKernelMode())
-    {
-        setFftKernelMode(mode);
-    }
-    ~FftKernelModeGuard() { setFftKernelMode(previous_); }
-
-    FftKernelModeGuard(const FftKernelModeGuard &) = delete;
-    FftKernelModeGuard &operator=(const FftKernelModeGuard &) = delete;
-
-  private:
-    FftKernelMode previous_;
-};
 
 /**
  * The vectorizable kernels themselves. All pointers must be non-aliasing
@@ -149,8 +107,7 @@ void interleave(const Real *re, const Real *im, Real *dst, std::size_t n);
  * dst = +/- src over n interleaved complex samples with the sign
  * alternating per sample, starting negative when negate_first is set.
  * This is one row of the Fraunhofer centered-DFT sign checkerboard
- * (-1)^(r+c); negation is exact, so the kernel is bitwise-identical to
- * the scalar complex-times-sign loop. dst may alias src.
+ * (-1)^(r+c); negation is exact. dst may alias src.
  */
 void copySignAlternating(Real *dst, const Real *src, std::size_t n,
                          bool negate_first);
@@ -158,7 +115,7 @@ void copySignAlternating(Real *dst, const Real *src, std::size_t n,
 /**
  * a *= +/- scale over n interleaved complex samples with the sign
  * alternating per sample (the Fraunhofer adjoint's fused sign and N^2
- * rescale). Bitwise-identical to the scalar loop for the same reason.
+ * rescale).
  */
 void scaleSignAlternating(Real *a, Real scale, std::size_t n,
                           bool negate_first);

@@ -316,10 +316,10 @@ Propagator::convolveInto(const Field &in, Field &out, bool conjugate_kernel,
     }
     std::fill(w + n * padded_n_, w + padded_n_ * padded_n_, Complex{0, 0});
 
-    // FFT2 -> transfer-function Hadamard -> iFFT2, all through the kernel
-    // dispatch layer: the 2-D transforms shard rows/columns across the
-    // thread pool for large grids, and the element-wise kernel multiply
-    // runs the vectorized interleaved complex product in Simd mode.
+    // FFT2 -> transfer-function Hadamard -> iFFT2: the 2-D transforms
+    // shard rows/columns across the thread pool for large grids, and the
+    // element-wise kernel multiply runs the interleaved complex product
+    // kernel (fft/kernels.hpp).
     fft_->forward(&work.get());
     if (conjugate_kernel)
         work->hadamardConj(kern);
@@ -343,19 +343,11 @@ Propagator::fraunhoferForwardInto(const Field &in, Field &out) const
         throw std::invalid_argument("Propagator: field shape mismatch");
     if (&out != &in)
         ensureFieldShape(out, n, n);
-    if (fftKernelMode() == FftKernelMode::Simd) {
-        for (std::size_t r = 0; r < n; ++r)
-            kernels::copySignAlternating(
-                reinterpret_cast<Real *>(out.data() + r * n),
-                reinterpret_cast<const Real *>(in.data() + r * n), n,
-                /*negate_first=*/(r % 2) != 0);
-    } else {
-        for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c) {
-                Real sign = ((r + c) % 2 == 0) ? Real(1) : Real(-1);
-                out(r, c) = in(r, c) * sign;
-            }
-    }
+    for (std::size_t r = 0; r < n; ++r)
+        kernels::copySignAlternating(
+            reinterpret_cast<Real *>(out.data() + r * n),
+            reinterpret_cast<const Real *>(in.data() + r * n), n,
+            /*negate_first=*/(r % 2) != 0);
     fft_->forward(&out);
     out.hadamard(quad_phase_);
 }
@@ -376,18 +368,10 @@ Propagator::fraunhoferAdjointInto(const Field &grad_out, Field &out) const
     const Real n2 = static_cast<Real>(n) * static_cast<Real>(n);
     // inverse() scales by 1/N^2; the adjoint of an unnormalized forward
     // DFT is N^2 times the inverse, fused here with the sign checkerboard.
-    if (fftKernelMode() == FftKernelMode::Simd) {
-        for (std::size_t r = 0; r < n; ++r)
-            kernels::scaleSignAlternating(
-                reinterpret_cast<Real *>(out.data() + r * n), n2, n,
-                /*negate_first=*/(r % 2) != 0);
-    } else {
-        for (std::size_t r = 0; r < n; ++r)
-            for (std::size_t c = 0; c < n; ++c) {
-                Real sign = ((r + c) % 2 == 0) ? Real(1) : Real(-1);
-                out(r, c) *= sign * n2;
-            }
-    }
+    for (std::size_t r = 0; r < n; ++r)
+        kernels::scaleSignAlternating(
+            reinterpret_cast<Real *>(out.data() + r * n), n2, n,
+            /*negate_first=*/(r % 2) != 0);
 }
 
 void

@@ -612,6 +612,14 @@ InferenceEngine::runBatch(const std::string &model_name,
             model->encodeInto(image, u.get());
             InferResponse &response = responses[i];
             response.logits = model->inferLogitsInPlace(u.get(), workspace);
+            // A finite frame can still overflow the detector (e.g. every
+            // pixel 1e200); such logits have no JSON encoding.
+            if (!std::all_of(response.logits.begin(), response.logits.end(),
+                             [](Real v) { return std::isfinite(v); })) {
+                statuses[i] = ServeStatus::BadInput;
+                messages[i] = "non-finite logits";
+                return;
+            }
             response.prediction = static_cast<int>(
                 std::max_element(response.logits.begin(),
                                  response.logits.end()) -

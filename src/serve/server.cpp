@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -28,41 +29,70 @@ SampleSource::Sample
 SampleSource::sample(const std::string &name, std::uint64_t seed,
                      std::size_t index)
 {
+    // Checked before the cache is touched, so a bad request neither
+    // inserts nor evicts an entry.
+    if (name != "digits" && name != "fashion")
+        throw JsonError("sample dataset must be digits or fashion, got: " +
+                        name);
+    if (index > kMaxIndex)
+        throw JsonError("sample index " + std::to_string(index) +
+                        " exceeds " + std::to_string(kMaxIndex));
     MutexLock lock(mutex_);
     const std::string key = name + ":" + std::to_string(seed);
+    if (cache_.size() >= kMaxCachedStreams && cache_.count(key) == 0)
+        cache_.erase(cache_.begin());
     ClassDataset &data = cache_[key];
     if (index >= data.size()) {
         // Grow geometrically so monotonically increasing indices stay
         // linear overall instead of regenerating 1,2,...,n.
-        const std::size_t count = std::max(index + 1, 2 * data.size());
-        if (name == "digits")
-            data = makeSynthDigits(count, seed);
-        else if (name == "fashion")
-            data = makeSynthFashion(count, seed);
-        else
-            throw JsonError("sample dataset must be digits or fashion, "
-                            "got: " +
-                            name);
+        const std::size_t count = std::min(
+            std::max(index + 1, 2 * data.size()), kMaxIndex + 1);
+        data = name == "digits" ? makeSynthDigits(count, seed)
+                                : makeSynthFashion(count, seed);
     }
     return Sample{data.images[index], data.labels[index]};
 }
 
 namespace {
 
+/** True for a finite JSON number with no fractional part. */
+bool
+isWholeNumber(double v)
+{
+    return std::isfinite(v) && v == std::floor(v);
+}
+
 RealMap
 imageFromJson(const Json &j)
 {
-    const std::size_t rows =
-        static_cast<std::size_t>(j.at("rows").asNumber());
-    const std::size_t cols =
-        static_cast<std::size_t>(j.at("cols").asNumber());
+    const double rows = j.at("rows").asNumber();
+    const double cols = j.at("cols").asNumber();
+    if (!isWholeNumber(rows) || !isWholeNumber(cols) || rows < 1 ||
+        cols < 1)
+        throw JsonError("request image: rows and cols must be integers "
+                        ">= 1");
     const Json::Array &data = j.at("data").asArray();
-    if (data.size() != rows * cols)
+    // Compared as doubles before any cast, so the product cannot wrap; it
+    // is exact whenever it is small enough to equal a real array length.
+    if (rows * cols != static_cast<double>(data.size()))
         throw JsonError("request image: data length != rows*cols");
-    RealMap image(rows, cols);
+    RealMap image(static_cast<std::size_t>(rows),
+                  static_cast<std::size_t>(cols));
     for (std::size_t i = 0; i < data.size(); ++i)
         image[i] = data[i].asNumber();
     return image;
+}
+
+/** The optional "index" of a "sample" request, bounded before the cast. */
+std::size_t
+sampleIndexFromJson(const Json &sample)
+{
+    const double index = sample.numberOr("index", 0.0);
+    if (!isWholeNumber(index) || index < 0 ||
+        index > static_cast<double>(SampleSource::kMaxIndex))
+        throw JsonError("sample index must be an integer in [0, " +
+                        std::to_string(SampleSource::kMaxIndex) + "]");
+    return static_cast<std::size_t>(index);
 }
 
 } // namespace
@@ -93,7 +123,7 @@ parseServeRequestJson(const Json &j, std::uint64_t fallback_id,
         SampleSource::Sample drawn = samples.sample(
             s.at("dataset").asString(),
             static_cast<std::uint64_t>(s.numberOr("seed", 1.0)),
-            static_cast<std::size_t>(s.numberOr("index", 0.0)));
+            sampleIndexFromJson(s));
         parsed.request.image = std::move(drawn.image);
         parsed.label = drawn.label;
     } else {

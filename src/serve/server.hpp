@@ -55,9 +55,17 @@ class SampleSource
         int label = -1;
     };
 
-    /** Sample `index` of the (dataset, seed) stream; grows the cached
-     *  dataset geometrically when the index is past what was generated.
-     *  @throws JsonError on an unknown dataset name */
+    /** Largest `index` a request may ask for: synthesizing a sample
+     *  generates every sample before it on the IO thread. */
+    static constexpr std::size_t kMaxIndex = 4096;
+
+    /** Cached (dataset, seed) streams; a new stream past this evicts one. */
+    static constexpr std::size_t kMaxCachedStreams = 4;
+
+    /** Sample `index` (<= kMaxIndex) of the (dataset, seed) stream; grows
+     *  the cached dataset geometrically when the index is past what was
+     *  generated.
+     *  @throws JsonError on an unknown dataset name or a larger index */
     Sample sample(const std::string &name, std::uint64_t seed,
                   std::size_t index) LIGHTRIDGE_EXCLUDES(mutex_);
 

@@ -173,15 +173,9 @@ Field &
 Field::hadamard(const Field &other)
 {
     assert(size() == other.size());
-    if (fftKernelMode() == FftKernelMode::Simd) {
-        kernels::cmulInterleaved(
-            reinterpret_cast<Real *>(data_.data()),
-            reinterpret_cast<const Real *>(other.data_.data()),
-            data_.size());
-        return *this;
-    }
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] *= other.data_[i];
+    kernels::cmulInterleaved(
+        reinterpret_cast<Real *>(data_.data()),
+        reinterpret_cast<const Real *>(other.data_.data()), data_.size());
     return *this;
 }
 
@@ -189,15 +183,9 @@ Field &
 Field::hadamardConj(const Field &other)
 {
     assert(size() == other.size());
-    if (fftKernelMode() == FftKernelMode::Simd) {
-        kernels::cmulConjInterleaved(
-            reinterpret_cast<Real *>(data_.data()),
-            reinterpret_cast<const Real *>(other.data_.data()),
-            data_.size());
-        return *this;
-    }
-    for (std::size_t i = 0; i < data_.size(); ++i)
-        data_[i] *= std::conj(other.data_[i]);
+    kernels::cmulConjInterleaved(
+        reinterpret_cast<Real *>(data_.data()),
+        reinterpret_cast<const Real *>(other.data_.data()), data_.size());
     return *this;
 }
 

@@ -193,11 +193,8 @@ class Field
     Field &operator-=(const Field &other);
 
     /**
-     * Elementwise in-place Hadamard product (complex MM of the paper).
-     * Dispatches through the FFT kernel layer: the Simd mode runs the
-     * vectorized interleaved complex-multiply kernel, Scalar the
-     * reference std::complex loop (see fft/kernels.hpp for the
-     * agreement contract between the two).
+     * Elementwise in-place Hadamard product (complex MM of the paper),
+     * through the interleaved complex-multiply kernel of fft/kernels.hpp.
      */
     Field &hadamard(const Field &other);
 

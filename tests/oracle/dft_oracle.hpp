@@ -3,7 +3,7 @@
  * Shared test oracle: reference O(n^2) / O(n^4) DFTs.
  *
  * Every suite that validates a fast transform (the planned FFT engine,
- * the SIMD kernel set, the LightPipes-like baseline) checks against this
+ * the LightPipes-like baseline) checks against this
  * single reference implementation, so a bug in the oracle cannot hide in
  * one suite what it forgives in another. The implementation is the
  * textbook direct sum with per-term modular angle reduction — slow, but

@@ -5,9 +5,12 @@
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "fft/kernels.hpp"
 #include "tensor/field.hpp"
+#include "utils/rng.hpp"
 
 namespace lightridge {
 namespace {
@@ -73,6 +76,29 @@ TEST(Field, HadamardAndConjugate)
     Field d = a;
     d.hadamardConj(b);
     EXPECT_EQ(d(0, 0), Complex(1, 2) * Complex(3, 1));
+
+    // A random 96x96 field runs the vectorized loop body of the kernels;
+    // each sample must match the std::complex product. The element-wise
+    // product has no reduction to reassociate, so the bound is the
+    // engine's unscaled kFftKernelTolerance.
+    const std::size_t n = 96;
+    Rng rng(42);
+    Field x(n, n), y(n, n);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        x[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+        y[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    }
+    Field product = x, product_conj = x;
+    product.hadamard(y);
+    product_conj.hadamardConj(y);
+    Real worst = 0, worst_conj = 0;
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        worst = std::max(worst, std::abs(product[i] - x[i] * y[i]));
+        worst_conj = std::max(worst_conj, std::abs(product_conj[i] -
+                                                   x[i] * std::conj(y[i])));
+    }
+    EXPECT_LE(worst, kFftKernelTolerance);
+    EXPECT_LE(worst_conj, kFftKernelTolerance);
 }
 
 TEST(Field, ScaleAddSubtract)

@@ -13,7 +13,6 @@
 #include "core/model.hpp"
 #include "core/skip.hpp"
 #include "core/session.hpp"
-#include "fft/kernels.hpp"
 #include "utils/rng.hpp"
 
 namespace lightridge {
@@ -141,62 +140,6 @@ TEST(Gradients, DiffractiveLayerFresnelAndPadded)
         checkParamGradient(p.value, *p.grad, [&] { return h.loss(); },
                            {11, 77});
 }
-
-/**
- * The hand-derived adjoint chain must stay consistent with the primal
- * under every kernel set the dispatch layer can select: the vectorized
- * SoA butterflies reassociate reductions, and a mismatch between the
- * forward and adjoint numerics would show up here as a gradient error
- * far above finite-difference noise.
- */
-class KernelModeGradient : public ::testing::TestWithParam<FftKernelMode>
-{};
-
-TEST_P(KernelModeGradient, DiffractivePhaseThroughDispatchedPropagator)
-{
-    FftKernelModeGuard guard(GetParam());
-    Rng rng(42);
-    ModelHarness h{ModelBuilder(tinySpec(), Laser{})
-                       .diffractiveLayers(2, 1.0, &rng)
-                       .detectorGrid(4, 2)
-                       .build(),
-                   randomImage(12, 1), 2};
-    h.model.detector().setAmpFactor(25.0);
-    h.backwardOnce();
-    auto params = h.model.params();
-    ASSERT_EQ(params.size(), 2u);
-    for (auto &p : params)
-        checkParamGradient(p.value, *p.grad, [&] { return h.loss(); },
-                           {0, 5, 17, 50, 143});
-}
-
-TEST_P(KernelModeGradient, FresnelPaddedThroughDispatchedPropagator)
-{
-    FftKernelModeGuard guard(GetParam());
-    SystemSpec spec = tinySpec();
-    spec.approx = Diffraction::Fresnel;
-    spec.pad_factor = 2;
-    Rng rng(9);
-    ModelHarness h{ModelBuilder(spec, Laser{})
-                       .diffractiveLayers(2, 1.0, &rng)
-                       .detectorGrid(4, 2)
-                       .build(),
-                   randomImage(12, 3), 1};
-    h.model.detector().setAmpFactor(40.0);
-    h.backwardOnce();
-    auto params = h.model.params();
-    for (auto &p : params)
-        checkParamGradient(p.value, *p.grad, [&] { return h.loss(); },
-                           {11, 77});
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    BothKernelSets, KernelModeGradient,
-    ::testing::Values(FftKernelMode::Scalar, FftKernelMode::Simd),
-    [](const ::testing::TestParamInfo<FftKernelMode> &info) {
-        return info.param == FftKernelMode::Simd ? std::string("Simd")
-                                                 : std::string("Scalar");
-    });
 
 TEST(Gradients, CodesignLayerLogits)
 {

@@ -375,6 +375,48 @@ TEST(HttpServer, TypedErrorsMapToHttpStatuses)
         "POST", "/v1/models/digits/infer", body.dump());
     EXPECT_EQ(after_deep.status, 200);
 
+    // Hostile bodies: image shapes whose rows*cols wraps to data.size(),
+    // a finite frame whose logits overflow, and sample indices that would
+    // synthesize without bound. Each is a quick 400 whose JSON body names
+    // the check, and the connection answers the next request.
+    RealMap blinding(frame.rows(), frame.cols(), 1e200);
+    Json overflow;
+    overflow["image"] = imageJson(blinding);
+    const struct
+    {
+        std::string payload;
+        std::string error;
+    } hostile[] = {
+        {R"({"image":{"rows":4294967296,"cols":4294967296,"data":[]}})",
+         "data length"},
+        {R"({"image":{"rows":-1,"cols":-1,"data":[0.5]}})", "rows and cols"},
+        {R"({"image":{"rows":0.5,"cols":2,"data":[0.5]}})", "rows and cols"},
+        {overflow.dump(), "non-finite logits"},
+        {R"({"sample":{"dataset":"digits","seed":1,"index":200000}})",
+         "sample index"},
+        {R"({"sample":{"dataset":"digits","seed":1,"index":1e300}})",
+         "sample index"},
+        {R"({"sample":{"dataset":"digits","seed":1,"index":-1}})",
+         "sample index"},
+    };
+    for (const auto &[payload, error] : hostile) {
+        SCOPED_TRACE(payload.substr(0, 80));
+        const auto sent = std::chrono::steady_clock::now();
+        const HttpResponse rejected = client.request(
+            "POST", "/v1/models/digits/infer", payload);
+        EXPECT_LT(std::chrono::steady_clock::now() - sent,
+                  std::chrono::seconds(2));
+        EXPECT_EQ(rejected.status, 400);
+        const Json reply = Json::parse(rejected.body);
+        EXPECT_EQ(reply.at("status").asString(), "bad_input");
+        EXPECT_NE(reply.at("error").asString().find(error),
+                  std::string::npos)
+            << reply.at("error").asString();
+        const HttpResponse after = client.request(
+            "POST", "/v1/models/digits/infer", body.dump());
+        EXPECT_EQ(after.status, 200);
+    }
+
     const HttpResponse wrong_method =
         client.request("GET", "/v1/models/digits/infer");
     EXPECT_EQ(wrong_method.status, 405);

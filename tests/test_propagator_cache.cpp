@@ -15,7 +15,6 @@
 #include "core/diffractive_layer.hpp"
 #include "core/model.hpp"
 #include "fft/fft.hpp"
-#include "fft/kernels.hpp"
 #include "optics/propagator.hpp"
 #include "utils/rng.hpp"
 #include "utils/thread_pool.hpp"
@@ -105,71 +104,6 @@ TEST(TransferFunctionCache, CachedForwardBitwiseMatchesUncachedPath)
     EXPECT_TRUE(bitwiseEqual(warm.forward(input), reference));
     EXPECT_TRUE(bitwiseEqual(warm.adjoint(input),
                              Propagator(config).adjoint(input)));
-}
-
-/**
- * The cached-vs-uncached bitwise contract must hold under every kernel
- * set: within one mode the engine is deterministic, so warm-cache and
- * cold-cache propagation stay bit-for-bit equal whether the inner loops
- * are the scalar reference or the vectorized SoA kernels.
- */
-class KernelModeCacheParity : public ::testing::TestWithParam<FftKernelMode>
-{};
-
-TEST_P(KernelModeCacheParity, CachedForwardBitwiseMatchesUncached)
-{
-    FftKernelModeGuard guard(GetParam());
-    PropagatorConfig config = referenceConfig();
-    Field input = randomField(config.grid.n, 29);
-
-    clearTransferFunctionCache();
-    clearFftPlanCache();
-    Field reference = Propagator(config).forward(input);
-
-    Propagator warm(config);
-    EXPECT_GT(transferFunctionCacheStats().hits, 0u);
-    EXPECT_TRUE(bitwiseEqual(warm.forward(input), reference));
-    EXPECT_TRUE(bitwiseEqual(warm.adjoint(input),
-                             Propagator(config).adjoint(input)));
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    BothKernelSets, KernelModeCacheParity,
-    ::testing::Values(FftKernelMode::Scalar, FftKernelMode::Simd),
-    [](const ::testing::TestParamInfo<FftKernelMode> &info) {
-        return info.param == FftKernelMode::Simd ? std::string("Simd")
-                                                 : std::string("Scalar");
-    });
-
-/**
- * Scalar-vs-SIMD propagation is NOT bitwise (the SoA kernels reassociate
- * reductions); the contract is the explicit kFftKernelTolerance bound
- * from fft/kernels.hpp, scaled by the transform length. Unit-magnitude
- * inputs through one hop stay well inside it.
- */
-TEST(KernelModeCacheParity, ScalarVsSimdWithinPinnedTolerance)
-{
-    if (!simdKernelsCompiled())
-        GTEST_SKIP() << "SIMD kernels not compiled (LIGHTRIDGE_SIMD=OFF)";
-    PropagatorConfig config = referenceConfig();
-    Field input = randomField(config.grid.n, 31);
-    Propagator prop(config);
-
-    Field scalar_out, simd_out;
-    {
-        FftKernelModeGuard guard(FftKernelMode::Scalar);
-        scalar_out = prop.forward(input);
-    }
-    {
-        FftKernelModeGuard guard(FftKernelMode::Simd);
-        simd_out = prop.forward(input);
-    }
-    const Real bound =
-        kFftKernelTolerance * static_cast<Real>(config.grid.n);
-    EXPECT_GT(maxAbsDiff(scalar_out, simd_out), 0.0)
-        << "modes produced identical bits; the SIMD path is likely not "
-           "being exercised";
-    EXPECT_LE(maxAbsDiff(scalar_out, simd_out), bound);
 }
 
 /**

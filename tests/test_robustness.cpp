@@ -1,7 +1,7 @@
 /**
  * @file
  * Robustness subsystem: finite-difference gradients through perturbed
- * propagation (lateral / axial / phase noise, both FFT kernel sets),
+ * propagation (lateral / axial / phase noise),
  * the bitwise no-op pin when no spec is bound, per-seed sampler
  * determinism across worker counts, zero-Field-allocation perturbed
  * train steps, strict spec parsing, and the robustness sweep engine.
@@ -16,7 +16,6 @@
 #include "core/optimizer.hpp"
 #include "core/session.hpp"
 #include "data/synth_digits.hpp"
-#include "fft/kernels.hpp"
 #include "optics/propagator.hpp"
 #include "utils/rng.hpp"
 
@@ -149,10 +148,9 @@ makeRealization(DonnModel &model, Real dx, Real dy, Real dz,
 /**
  * Vaccinated training relies on the perturbed forward having an exact
  * adjoint (conjugate ramp / conjugate kernel / conjugate phasor); any
- * mismatch shows up here as a gradient error far above FD noise. Checked
- * under both kernel sets the FFT dispatch layer can select.
+ * mismatch shows up here as a gradient error far above FD noise.
  */
-class PerturbedGradient : public ::testing::TestWithParam<FftKernelMode>
+class PerturbedGradient : public ::testing::Test
 {
   protected:
     ModelHarness
@@ -180,9 +178,8 @@ class PerturbedGradient : public ::testing::TestWithParam<FftKernelMode>
     }
 };
 
-TEST_P(PerturbedGradient, LateralShift)
+TEST_F(PerturbedGradient, LateralShift)
 {
-    FftKernelModeGuard guard(GetParam());
     ModelHarness h = makeHarness();
     PerturbationRealization r =
         makeRealization(h.model, 0.4 * 36e-6, -0.25 * 36e-6, 0.0, 0.0, 0);
@@ -191,9 +188,8 @@ TEST_P(PerturbedGradient, LateralShift)
     h.model.setPerturbation(nullptr);
 }
 
-TEST_P(PerturbedGradient, AxialJitter)
+TEST_F(PerturbedGradient, AxialJitter)
 {
-    FftKernelModeGuard guard(GetParam());
     ModelHarness h = makeHarness();
     PerturbationRealization r =
         makeRealization(h.model, 0.0, 0.0, 0.002, 0.0, 0);
@@ -202,9 +198,8 @@ TEST_P(PerturbedGradient, AxialJitter)
     h.model.setPerturbation(nullptr);
 }
 
-TEST_P(PerturbedGradient, PhaseNoise)
+TEST_F(PerturbedGradient, PhaseNoise)
 {
-    FftKernelModeGuard guard(GetParam());
     ModelHarness h = makeHarness();
     PerturbationRealization r =
         makeRealization(h.model, 0.0, 0.0, 0.0, 0.3, 77);
@@ -213,9 +208,8 @@ TEST_P(PerturbedGradient, PhaseNoise)
     h.model.setPerturbation(nullptr);
 }
 
-TEST_P(PerturbedGradient, AllAxesFresnelPadded)
+TEST_F(PerturbedGradient, AllAxesFresnelPadded)
 {
-    FftKernelModeGuard guard(GetParam());
     SystemSpec spec = tinySpec();
     spec.approx = Diffraction::Fresnel;
     spec.pad_factor = 2;
@@ -236,14 +230,6 @@ TEST_P(PerturbedGradient, AllAxesFresnelPadded)
                            {11, 77});
     h.model.setPerturbation(nullptr);
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothKernelSets, PerturbedGradient,
-    ::testing::Values(FftKernelMode::Scalar, FftKernelMode::Simd),
-    [](const ::testing::TestParamInfo<FftKernelMode> &info) {
-        return info.param == FftKernelMode::Simd ? std::string("Simd")
-                                                 : std::string("Scalar");
-    });
 
 // --------------------------------------------------------------------------
 // Perturbed forward/inference consistency

@@ -28,6 +28,7 @@
 #include "data/synth_digits.hpp"
 #include "serve/engine.hpp"
 #include "serve/registry.hpp"
+#include "utils/thread_pool.hpp"
 
 namespace lightridge {
 namespace {
@@ -1010,7 +1011,11 @@ TEST(InferenceEngine, SteadyStateEnsembleServingAllocatesNoFields)
     spec.name = "duo";
     spec.members = {"a", "b"};
     registry.registerEnsemble(spec);
-    InferenceEngine engine(registry);
+    // Every batch runs inline on the dispatcher thread, so the warm-up
+    // burst warms the one workspace arena the measured burst leases from
+    // (a pool worker's first lease would count as an allocation).
+    ThreadPool inline_pool(1);
+    InferenceEngine engine(registry, {}, &inline_pool);
     const std::vector<RealMap> frames = testFrames(6);
 
     auto burst = [&] {
@@ -1039,7 +1044,8 @@ TEST(InferenceEngine, SteadyStateServingAllocatesNoFields)
 {
     ModelRegistry registry;
     registry.registerModel("m", tinyModel(16, 1));
-    InferenceEngine engine(registry);
+    ThreadPool inline_pool(1); // one warmed arena, as above
+    InferenceEngine engine(registry, {}, &inline_pool);
     const std::vector<RealMap> frames = testFrames(6);
 
     auto burst = [&] {

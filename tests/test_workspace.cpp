@@ -81,12 +81,8 @@ allConfigs()
             makeConfig(Diffraction::Fraunhofer, 1)};
 }
 
-class WorkspaceKernelModes : public ::testing::TestWithParam<FftKernelMode>
-{};
-
-TEST_P(WorkspaceKernelModes, ForwardIntoBitwiseMatchesByValue)
+TEST(Workspace, ForwardIntoBitwiseMatchesByValue)
 {
-    FftKernelModeGuard guard(GetParam());
     PropagationWorkspace workspace;
     for (const PropagatorConfig &config : allConfigs()) {
         Propagator prop(config);
@@ -108,9 +104,8 @@ TEST_P(WorkspaceKernelModes, ForwardIntoBitwiseMatchesByValue)
     }
 }
 
-TEST_P(WorkspaceKernelModes, InPlaceAliasingMatchesOutOfPlace)
+TEST(Workspace, InPlaceAliasingMatchesOutOfPlace)
 {
-    FftKernelModeGuard guard(GetParam());
     PropagationWorkspace workspace;
     for (const PropagatorConfig &config : allConfigs()) {
         Propagator prop(config);
@@ -133,14 +128,6 @@ TEST_P(WorkspaceKernelModes, InPlaceAliasingMatchesOutOfPlace)
             << config.pad_factor;
     }
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    BothKernelSets, WorkspaceKernelModes,
-    ::testing::Values(FftKernelMode::Scalar, FftKernelMode::Simd),
-    [](const ::testing::TestParamInfo<FftKernelMode> &info) {
-        return info.param == FftKernelMode::Simd ? std::string("Simd")
-                                                 : std::string("Scalar");
-    });
 
 TEST(Workspace, ArenaReusesBuffersAcrossCalls)
 {
