@@ -15,7 +15,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/trainer.hpp"
+#include "core/session.hpp"
 #include "data/synth_digits.hpp"
 #include "hardware/deploy.hpp"
 #include "utils/timer.hpp"
@@ -39,7 +39,8 @@ trainEval(SystemSpec spec, const ClassDataset &train,
     tc.lr = 0.03;
     tc.calibrate = calibrate;
     WallTimer timer;
-    Trainer(model, tc).fit(train);
+    ClassificationTask task(model, train);
+    Session(task, tc).fit();
     if (seconds != nullptr)
         *seconds = timer.seconds();
     return evaluateAccuracy(model, test);
@@ -121,7 +122,8 @@ main()
     TrainConfig tc;
     tc.epochs = scaled(2, 6);
     tc.lr = 0.03;
-    Trainer(raw, tc).fit(train);
+    ClassificationTask raw_task(raw, train);
+    Session(raw_task, tc).fit();
     for (bool warm : {false, true}) {
         Rng grng(11);
         DonnModel cd = ModelBuilder(spec, laser)
@@ -134,7 +136,8 @@ main()
                     ->initFromPhase(static_cast<DiffractiveLayer *>(
                                         raw.layer(i))
                                         ->phase());
-        Trainer(cd, tc).fit(train);
+        ClassificationTask cd_task(cd, train);
+        Session(cd_task, tc).fit();
         Real acc = evaluateAccuracy(cd, test);
         std::printf("  %-24s acc %.3f\n",
                     warm ? "warm start (raw phases)" : "cold start", acc);
@@ -157,7 +160,8 @@ main()
             static_cast<CodesignLayer *>(cd.layer(i))
                 ->initFromPhase(
                     static_cast<DiffractiveLayer *>(raw.layer(i))->phase());
-        Trainer(cd, tc).fit(train);
+        ClassificationTask cd_task(cd, train);
+        Session(cd_task, tc).fit();
         DonnModel hw =
             deployCodesign(cd, FabricationVariation::none(), nullptr);
         Real acc =

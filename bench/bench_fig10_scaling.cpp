@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/trainer.hpp"
+#include "core/session.hpp"
 #include "data/synth_digits.hpp"
 #include "utils/timer.hpp"
 
@@ -60,9 +60,10 @@ main()
             tc.epochs = 1;
             tc.lr = 0.03;
             tc.calibrate = false; // measure the epoch only
-            Trainer trainer(model, tc);
+            ClassificationTask task(model, train);
+            Session session(task, tc);
             WallTimer timer;
-            trainer.trainEpoch(train);
+            session.trainEpoch();
             double s = timer.seconds();
             std::printf(" %8.2fs", s);
             std::fflush(stdout);

@@ -13,8 +13,8 @@
 
 #include "bench_common.hpp"
 #include "core/layer_norm.hpp"
+#include "core/session.hpp"
 #include "core/skip.hpp"
-#include "core/trainer.hpp"
 #include "data/synth_city.hpp"
 #include "utils/image_io.hpp"
 
@@ -87,20 +87,20 @@ main()
 
     std::printf("training ours (optical skip + LayerNorm)...\n");
     DonnModel ours = buildSeg(spec, laser, true, true, 3);
-    SegTrainer ours_trainer(ours, cfg);
-    ours_trainer.fit(train);
+    SegmentationTask ours_task(ours, train);
+    Session(ours_task, cfg).fit();
 
     std::printf("training baseline [34]/[68] (no skip, no LayerNorm)...\n");
     DonnModel base = buildSeg(spec, laser, false, false, 3);
     TrainConfig base_cfg = cfg;
     base_cfg.calibrate = false;
-    SegTrainer base_trainer(base, base_cfg);
-    base_trainer.fit(train);
+    SegmentationTask base_task(base, train);
+    Session(base_task, base_cfg).fit();
 
-    Real ours_iou = ours_trainer.evaluateIou(test);
-    Real ours_mse = ours_trainer.evaluateMse(test);
-    Real base_iou = base_trainer.evaluateIou(test);
-    Real base_mse = base_trainer.evaluateMse(test);
+    Real ours_iou = ours_task.evaluateIou(test);
+    Real ours_mse = ours_task.evaluateMse(test);
+    Real base_iou = base_task.evaluateIou(test);
+    Real base_mse = base_task.evaluateMse(test);
 
     std::printf("\n%-28s %-8s %s\n", "model", "IoU", "pixel MSE");
     std::printf("%-28s %-8.3f %.4f\n", "ours (skip + LayerNorm)", ours_iou,
@@ -117,8 +117,8 @@ main()
                  toGray(test.images[i].raw(), size, size));
         writePgm(stem + "_target.pgm",
                  toGray(test.masks[i].raw(), size, size));
-        RealMap p_ours = ours_trainer.predictMask(test.images[i]);
-        RealMap p_base = base_trainer.predictMask(test.images[i]);
+        RealMap p_ours = ours_task.predictMask(test.images[i]);
+        RealMap p_base = base_task.predictMask(test.images[i]);
         writePgm(stem + "_ours.pgm", toGray(p_ours.raw(), size, size));
         writePgm(stem + "_baseline.pgm", toGray(p_base.raw(), size, size));
     }

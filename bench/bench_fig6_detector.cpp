@@ -13,7 +13,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/trainer.hpp"
+#include "core/session.hpp"
 #include "data/synth_digits.hpp"
 #include "hardware/deploy.hpp"
 #include "utils/image_io.hpp"
@@ -51,7 +51,8 @@ main()
     TrainConfig tc;
     tc.epochs = epochs;
     tc.lr = 0.03;
-    Trainer(model, tc).fit(train);
+    ClassificationTask task(model, train);
+    Session(task, tc).fit();
     std::printf("emulated accuracy after training: %.3f\n",
                 evaluateAccuracy(model, test));
 

@@ -12,7 +12,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/trainer.hpp"
+#include "core/session.hpp"
 #include "data/synth_digits.hpp"
 #include "data/synth_fashion.hpp"
 #include "hardware/energy.hpp"
@@ -51,7 +51,8 @@ runTask(const ClassDataset &train, const ClassDataset &test,
     TrainConfig tc;
     tc.epochs = epochs;
     tc.lr = 0.03;
-    Trainer(donn, tc).fit(train);
+    ClassificationTask task(donn, train);
+    Session(task, tc).fit();
     out.donn_acc = evaluateAccuracy(donn, test);
     {
         // Emulated DONN inference fps on this CPU (for context only; the

@@ -1,9 +1,9 @@
 #include "api/experiment.hpp"
 
 #include <algorithm>
-#include <stdexcept>
-
+#include <limits>
 #include <memory>
+#include <stdexcept>
 
 #include "core/layer_norm.hpp"
 #include "core/skip.hpp"
@@ -42,11 +42,21 @@ expectKeys(const Json &j, std::initializer_list<const char *> allowed,
     expectKeysIn(j, allowed, where);
 }
 
+/** Optional integer member >= `min` (checked; see Json::asInteger). */
 std::size_t
-sizeOr(const Json &j, const std::string &key, std::size_t fallback)
+sizeOr(const Json &j, const std::string &key, std::size_t fallback,
+       std::size_t min = 0)
 {
-    return j.has(key) ? static_cast<std::size_t>(j.at(key).asNumber())
-                      : fallback;
+    if (!j.has(key))
+        return fallback;
+    return static_cast<std::size_t>(j.at(key).asInteger(key, min));
+}
+
+/** Optional seed member: any integer a uint64_t holds. */
+uint64_t
+seedOr(const Json &j, const std::string &key, uint64_t fallback)
+{
+    return j.has(key) ? j.at(key).asInteger(key) : fallback;
 }
 
 // ---- enum <-> string maps ------------------------------------------------
@@ -286,7 +296,6 @@ trainConfigToJson(const TrainConfig &config)
     j["tau_start"] = Json(config.tau_start);
     j["tau_end"] = Json(config.tau_end);
     j["workers"] = Json(config.workers);
-    j["pipeline"] = Json(config.pipeline);
     j["dev_eval_every_batches"] = Json(config.dev_eval_every_batches);
     j["verbose"] = Json(config.verbose);
     return j;
@@ -298,17 +307,18 @@ trainConfigFromJson(const Json &j)
     expectKeys(j,
                {"epochs", "batch", "lr", "loss", "seed", "shuffle",
                 "calibrate", "calib_target", "calib_probe", "gamma",
-                "tau_start", "tau_end", "workers", "pipeline",
+                "tau_start", "tau_end", "workers",
                 "dev_eval_every_batches", "verbose"},
                "train config");
     TrainConfig config;
-    config.epochs = static_cast<int>(j.numberOr("epochs", config.epochs));
-    config.batch = sizeOr(j, "batch", config.batch);
+    if (j.has("epochs"))
+        config.epochs = static_cast<int>(j.at("epochs").asInteger(
+            "epochs", 0, std::numeric_limits<int>::max()));
+    config.batch = sizeOr(j, "batch", config.batch, 1);
     config.lr = j.numberOr("lr", config.lr);
     if (j.has("loss"))
         config.loss = lossFromName(j.at("loss").asString());
-    config.seed = static_cast<uint64_t>(
-        j.numberOr("seed", static_cast<double>(config.seed)));
+    config.seed = seedOr(j, "seed", config.seed);
     if (j.has("shuffle"))
         config.shuffle = j.at("shuffle").asBool();
     if (j.has("calibrate"))
@@ -319,8 +329,6 @@ trainConfigFromJson(const Json &j)
     config.tau_start = j.numberOr("tau_start", config.tau_start);
     config.tau_end = j.numberOr("tau_end", config.tau_end);
     config.workers = sizeOr(j, "workers", config.workers);
-    if (j.has("pipeline"))
-        config.pipeline = j.at("pipeline").asBool();
     config.dev_eval_every_batches = sizeOr(j, "dev_eval_every_batches",
                                            config.dev_eval_every_batches);
     if (j.has("verbose"))
@@ -449,8 +457,7 @@ ExperimentSpec::fromJson(const Json &j)
         spec.data.train_samples = sizeOr(dj, "train",
                                          spec.data.train_samples);
         spec.data.test_samples = sizeOr(dj, "test", spec.data.test_samples);
-        spec.data.seed = static_cast<uint64_t>(
-            dj.numberOr("seed", static_cast<double>(spec.data.seed)));
+        spec.data.seed = seedOr(dj, "seed", spec.data.seed);
         spec.data.image_size = sizeOr(dj, "image_size",
                                       spec.data.image_size);
     }
@@ -461,7 +468,7 @@ ExperimentSpec::fromJson(const Json &j)
                    {"size", "pixel", "distance", "approx", "method",
                     "pad_factor"},
                    "system");
-        spec.system.size = sizeOr(sj, "size", spec.system.size);
+        spec.system.size = sizeOr(sj, "size", spec.system.size, 1);
         spec.system.pixel = sj.numberOr("pixel", spec.system.pixel);
         spec.system.distance =
             sj.numberOr("distance", spec.system.distance);
@@ -475,8 +482,7 @@ ExperimentSpec::fromJson(const Json &j)
     }
 
     spec.wavelength = j.numberOr("wavelength", spec.wavelength);
-    spec.model_seed = static_cast<uint64_t>(
-        j.numberOr("model_seed", static_cast<double>(spec.model_seed)));
+    spec.model_seed = seedOr(j, "model_seed", spec.model_seed);
 
     if (j.has("layers")) {
         validateLayerSpecs(j.at("layers"));
@@ -623,7 +629,6 @@ runExperiment(const ExperimentSpec &spec,
     // Record the execution mode actually used, not just what the spec
     // asked for (Session::resolveWorkers is the engine's own rule).
     result.workers_requested = spec.train.workers;
-    result.pipeline = spec.train.pipeline;
     result.hw_threads = ThreadPool::global().workerCount();
 
     auto runSession = [&](Task &task) {
@@ -844,7 +849,6 @@ ExperimentResult::report(const ExperimentSpec &spec) const
     Json execution;
     execution["workers"] = Json(workers_used);
     execution["workers_requested"] = Json(workers_requested);
-    execution["pipeline"] = Json(pipeline);
     execution["hw_threads"] = Json(hw_threads);
     execution["data_source"] = Json(data_source);
     execution["data_shards"] = Json(data_shards);

@@ -204,7 +204,6 @@ struct ExperimentResult
      */
     std::size_t workers_used = 1;
     std::size_t workers_requested = 0;
-    bool pipeline = false;
     std::size_t hw_threads = 0;
 
     /**

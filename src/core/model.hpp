@@ -209,7 +209,7 @@ class DonnModel
     /**
      * Deep copy sharing the (immutable) propagators: layers and detector
      * are cloned, parameters and gradients copied. Replicas train
-     * independently; see Trainer for the data-parallel batch recipe.
+     * independently; see Session for the data-parallel batch recipe.
      */
     DonnModel clone() const;
 

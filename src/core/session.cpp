@@ -1,15 +1,14 @@
 #include "core/session.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
-#include <exception>
 #include <memory>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
 #include "data/source.hpp"
 #include "utils/log.hpp"
-#include "utils/sync.hpp"
 #include "utils/thread_pool.hpp"
 #include "utils/timer.hpp"
 
@@ -114,8 +113,6 @@ Session::trainEpoch()
                           : epochOrder(task_.trainSize(), config_.shuffle,
                                        &rng_);
     StreamEpochGuard epoch_guard(stream, &order);
-    if (workers >= 2 && config_.pipeline)
-        return trainEpochPipelined(order, workers);
     if (workers >= 2)
         return trainEpochParallel(order, workers);
     return trainEpochSerial(order);
@@ -148,6 +145,17 @@ Session::replicaSeeds(std::size_t workers) const
         seeds[r] = config_.seed ^ (0x9e3779b97f4a7c15ull * tag);
     }
     return seeds;
+}
+
+void
+Session::requireFiniteLoss(Real loss_sum, std::size_t batch_index) const
+{
+    if (std::isfinite(loss_sum))
+        return;
+    throw std::runtime_error(
+        "non-finite training loss (" + std::to_string(loss_sum) +
+        ") in epoch " + std::to_string(epoch_counter_ - 1) + ", batch " +
+        std::to_string(batch_index) + "; stopped before the optimizer step");
 }
 
 bool
@@ -211,6 +219,7 @@ Session::trainEpochSerial(const std::vector<std::size_t> &order)
         if (sample.hit)
             ++correct;
         if (++in_batch == config_.batch) {
+            requireFiniteLoss(stats.train_loss, i / config_.batch);
             optimizer_.step();
             task_.zeroGrad();
             in_batch = 0;
@@ -220,6 +229,7 @@ Session::trainEpochSerial(const std::vector<std::size_t> &order)
         }
     }
     if (in_batch > 0) {
+        requireFiniteLoss(stats.train_loss, order.size() / config_.batch);
         optimizer_.step();
         task_.zeroGrad();
     }
@@ -296,6 +306,7 @@ Session::trainEpochParallel(const std::vector<std::size_t> &order,
             }
             task_.zeroReplicaGrad(r);
         }
+        requireFiniteLoss(stats.train_loss, start / config_.batch);
         optimizer_.step();
         task_.zeroGrad();
         task_.syncReplicas();
@@ -303,248 +314,6 @@ Session::trainEpochParallel(const std::vector<std::size_t> &order,
             midEpochEval(stats.train_loss, correct, start + batch,
                          start / config_.batch, timer.seconds());
     }
-    if (perturbed)
-        task_.clearPerturbation();
-
-    const std::size_t n = std::max<std::size_t>(order.size(), 1);
-    stats.train_loss /= n;
-    stats.train_acc = static_cast<Real>(correct) / n;
-    stats.seconds = timer.seconds();
-    return stats;
-}
-
-EpochStats
-Session::trainEpochPipelined(const std::vector<std::size_t> &order,
-                             std::size_t workers)
-{
-    // Software-pipelined replica engine: while the main thread merges
-    // batch t's staged gradients and runs the Adam step, the pool is
-    // already computing batch t+1's forward/backward passes. Replicas
-    // therefore see parameters one step stale (classic delayed data
-    // parallelism); everything else — round-robin sample assignment,
-    // fixed-order merge, per-epoch replica seeds — matches the
-    // synchronous engine, so results are deterministic for a fixed
-    // worker count regardless of thread timing or core count.
-    EpochStats stats;
-    WallTimer timer;
-
-    task_.buildReplicas(replicaSeeds(workers));
-    std::vector<ParamView> main_params = task_.params();
-    ThreadPool &pool = ThreadPool::global();
-
-    const std::size_t num_batches =
-        (order.size() + config_.batch - 1) / config_.batch;
-
-    // Double-buffered per-replica gradient staging: batch t writes slot
-    // t % 2 while the main thread drains slot (t - 1) % 2, so a replica
-    // never overwrites gradients that are still being merged.
-    struct ReplicaStage
-    {
-        std::vector<std::vector<Real>> grads;
-        Real loss = 0;
-        std::size_t correct = 0;
-    };
-    std::array<std::vector<ReplicaStage>, 2> stages;
-    for (auto &slot : stages) {
-        slot.resize(workers);
-        for (ReplicaStage &stage : slot) {
-            stage.grads.resize(main_params.size());
-            for (std::size_t p = 0; p < main_params.size(); ++p)
-                stage.grads[p].resize(main_params[p].grad->size());
-        }
-    }
-
-    // Two-slot completion latch for the in-flight batches. The lock
-    // discipline lives in the member functions so every path through the
-    // pipeline (worker completion, worker failure, enqueue failure, the
-    // main thread's slot wait, the unwind drain) shares one checked
-    // protocol instead of five hand-rolled lock scopes.
-    struct PipelineLatch
-    {
-        Mutex mutex;
-        CondVar cv;
-        std::array<std::size_t, 2> pending LIGHTRIDGE_GUARDED_BY(mutex) =
-            {0, 0};
-        std::exception_ptr error LIGHTRIDGE_GUARDED_BY(mutex);
-
-        /** Declare `count` jobs outstanding for `slot`. */
-        void
-        arm(std::size_t slot, std::size_t count) LIGHTRIDGE_EXCLUDES(mutex)
-        {
-            MutexLock lock(mutex);
-            pending[slot] = count;
-        }
-
-        /** Retire `count` completions from `slot`. */
-        void
-        complete(std::size_t slot, std::size_t count)
-            LIGHTRIDGE_EXCLUDES(mutex)
-        {
-            MutexLock lock(mutex);
-            pending[slot] -= count;
-            cv.notify_all();
-        }
-
-        /** Record the current exception and retire one job of `slot`. */
-        void
-        fail(std::size_t slot) LIGHTRIDGE_EXCLUDES(mutex)
-        {
-            MutexLock lock(mutex);
-            if (!error)
-                error = std::current_exception();
-            --pending[slot];
-            cv.notify_all();
-        }
-
-        /**
-         * Block until `slot`'s batch retired. If a replica failed, wait
-         * for the other slot's jobs too (the stages/latch must outlive
-         * every job) and rethrow the replica's exception.
-         */
-        void
-        waitSlot(std::size_t slot) LIGHTRIDGE_EXCLUDES(mutex)
-        {
-            MutexLock lock(mutex);
-            while (pending[slot] != 0)
-                cv.wait(mutex);
-            if (error) {
-                while (pending[0] != 0 || pending[1] != 0)
-                    cv.wait(mutex);
-                std::rethrow_exception(error);
-            }
-        }
-
-        /** Block until both slots retired (unwind safety; no rethrow). */
-        void
-        drain() LIGHTRIDGE_EXCLUDES(mutex)
-        {
-            MutexLock lock(mutex);
-            while (pending[0] != 0 || pending[1] != 0)
-                cv.wait(mutex);
-        }
-    } latch;
-
-    auto batchShape = [&](std::size_t t, std::size_t &start,
-                          std::size_t &batch, std::size_t &active) {
-        start = t * config_.batch;
-        batch = std::min(config_.batch, order.size() - start);
-        active = std::min(workers, batch);
-    };
-
-    auto replicaJob = [this, &stages, &latch,
-                       &order](std::size_t slot, std::size_t r,
-                               std::size_t start, std::size_t batch,
-                               std::size_t active) {
-        try {
-            ReplicaStage &stage = stages[slot][r];
-            stage.loss = 0;
-            stage.correct = 0;
-            for (std::size_t j = r; j < batch; j += active) {
-                SampleResult sample =
-                    task_.trainSampleOn(r, order[start + j]);
-                stage.loss += sample.loss;
-                if (sample.hit)
-                    ++stage.correct;
-            }
-            // Stage the accumulated gradients and clear the replica so
-            // it can start the next batch immediately.
-            std::vector<ParamView> rep_params = task_.replicaParams(r);
-            for (std::size_t p = 0; p < rep_params.size(); ++p)
-                stage.grads[p] = *rep_params[p].grad;
-            task_.zeroReplicaGrad(r);
-        } catch (...) {
-            latch.fail(slot);
-            return;
-        }
-        latch.complete(slot, 1);
-    };
-
-    DataSource *stream = task_.trainStream();
-    const bool perturbed = task_.perturbationActive();
-
-    auto launch = [&](std::size_t t) {
-        std::size_t start = 0, batch = 0, active = 0;
-        batchShape(t, start, batch, active);
-        const std::size_t slot = t % 2;
-        // launch(t) runs on the main thread with no replica jobs in
-        // flight for either slot (batch t-1 was just waited on, batch
-        // t-2 one iteration earlier), so staging batch t's shards and
-        // rewriting the shared misalignment realization are race-free
-        // before batch t's jobs read them. The prefetcher decoded the
-        // staged shards while the previous batch computed, so the stage
-        // call normally just retires already-resident slots.
-        if (stream != nullptr)
-            stream->stageRange(start, start + batch);
-        if (perturbed)
-            task_.samplePerturbation(perturbationSeed(t));
-        latch.arm(slot, active);
-        for (std::size_t r = 0; r < active; ++r) {
-            try {
-                pool.enqueue([&replicaJob, slot, r, start, batch, active] {
-                    replicaJob(slot, r, start, batch, active);
-                });
-            } catch (...) {
-                // Jobs r..active-1 never made it into the queue: take
-                // their completions off the latch so the drain guard
-                // (and any waiter) sees a consistent count.
-                latch.complete(slot, active - r);
-                throw;
-            }
-        }
-    };
-
-    // Unwind safety: the pool jobs reference the locals above, so if
-    // anything on THIS thread throws while a batch is in flight
-    // (enqueue's std::function allocation, the optimizer, a task hook),
-    // the frame must not die before the jobs drain. Declared last so it
-    // is destroyed — and waits — before anything the jobs touch.
-    struct DrainGuard
-    {
-        PipelineLatch &latch;
-
-        ~DrainGuard() { latch.drain(); }
-    } drain{latch};
-
-    std::size_t correct = 0;
-    task_.zeroGrad();
-    launch(0);
-    for (std::size_t t = 0; t < num_batches; ++t) {
-        latch.waitSlot(t % 2);
-        // The pool is idle between batches: publish the parameters from
-        // the last optimizer step, then put it back to work on batch t+1
-        // while this thread merges batch t and steps. On a dev-eval
-        // batch the launch is deferred until after the evaluation — the
-        // pool must be free to run it — which stalls the pipeline for
-        // one batch but cannot change the numbers: replicas were synced
-        // above with the pre-step parameters either way.
-        task_.syncReplicas();
-        const bool eval_here = devEvalDue(t);
-        if (!eval_here && t + 1 < num_batches)
-            launch(t + 1);
-
-        std::size_t start = 0, batch = 0, active = 0;
-        batchShape(t, start, batch, active);
-        for (std::size_t r = 0; r < active; ++r) {
-            ReplicaStage &stage = stages[t % 2][r];
-            stats.train_loss += stage.loss;
-            correct += stage.correct;
-            for (std::size_t p = 0; p < main_params.size(); ++p) {
-                const std::vector<Real> &src = stage.grads[p];
-                std::vector<Real> &dst = *main_params[p].grad;
-                for (std::size_t i = 0; i < dst.size(); ++i)
-                    dst[i] += src[i];
-            }
-        }
-        optimizer_.step();
-        task_.zeroGrad();
-        if (eval_here) {
-            midEpochEval(stats.train_loss, correct, start + batch, t,
-                         timer.seconds());
-            if (t + 1 < num_batches)
-                launch(t + 1);
-        }
-    }
-    task_.syncReplicas();
     if (perturbed)
         task_.clearPerturbation();
 

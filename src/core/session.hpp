@@ -6,7 +6,7 @@
  * trainers: the physics-aware calibration pass, Gumbel-softmax tau
  * annealing, the shuffled epoch loop with per-batch Adam steps, per-epoch
  * callbacks (logging / early stop / checkpointing), and the shared
- * data-parallel replica pipeline — per-worker model replicas propagate
+ * data-parallel replica loop — per-worker model replicas propagate
  * disjoint slices of each batch and their gradients are merged in fixed
  * replica order before every optimizer step, so classification,
  * segmentation, and RGB training all parallelize identically.
@@ -45,19 +45,20 @@ class Session
     /** Register a per-epoch callback (run in registration order). */
     void addCallback(Callback callback);
 
-    /** Run the task's calibration pass now (fit() calls this once). */
+    /**
+     * Run the task's calibration pass now. fit() calibrates once when
+     * config.calibrate is set and calibrate() has not run yet, so a
+     * calibration done here is kept.
+     */
     void calibrate();
-
-    /** Mark calibration as already applied externally (trainer shims). */
-    void markCalibrated() { calibrated_ = true; }
-    bool isCalibrated() const { return calibrated_; }
 
     /**
      * One pass over the training set; returns loss/accuracy. Runs the
-     * data-parallel batch pipeline when config.workers allows (see
-     * TrainConfig::workers), otherwise the reference serial loop. With
-     * config.pipeline set, replica forwards for batch t+1 overlap the
-     * main thread's merge + optimizer step for batch t.
+     * data-parallel replica loop when config.workers allows (see
+     * TrainConfig::workers), otherwise the reference serial loop.
+     * @throws std::runtime_error when a batch's loss is not finite
+     *         (checked before that batch's optimizer step, so no NaN
+     *         reaches the parameters)
      */
     EpochStats trainEpoch();
 
@@ -83,9 +84,9 @@ class Session
      * Seed of the misalignment draw for one batch of vaccinated
      * training: a pure function of (train seed, epoch, batch index),
      * mixed on a stream constant disjoint from the replica-seed stream.
-     * Independent of worker count and schedule (serial / parallel /
-     * pipelined), so the drawn error sequence is too. Exposed static
-     * for the determinism tests.
+     * Independent of worker count and schedule (serial / parallel),
+     * so the drawn error sequence is too. Exposed static for the
+     * determinism tests.
      */
     static uint64_t perturbationDrawSeed(uint64_t seed, int epoch,
                                          std::size_t batch_index);
@@ -98,6 +99,13 @@ class Session
         return perturbationDrawSeed(config_.seed, epoch_counter_,
                                     batch_index);
     }
+
+    /**
+     * Throw std::runtime_error naming the epoch and batch when the
+     * running loss sum is not finite. Called on the main thread before
+     * every optimizer step, when no replica job is in flight.
+     */
+    void requireFiniteLoss(Real loss_sum, std::size_t batch_index) const;
 
     /** True when the mid-epoch dev-eval cadence fires after this batch. */
     bool devEvalDue(std::size_t batch_index) const;
@@ -115,8 +123,6 @@ class Session
     EpochStats trainEpochSerial(const std::vector<std::size_t> &order);
     EpochStats trainEpochParallel(const std::vector<std::size_t> &order,
                                   std::size_t workers);
-    EpochStats trainEpochPipelined(const std::vector<std::size_t> &order,
-                                   std::size_t workers);
 
     Task &task_;
     TrainConfig config_;

@@ -72,21 +72,6 @@ struct TrainConfig
     std::size_t workers = 0;
 
     /**
-     * Overlap the main thread's gradient merge + Adam step for batch t
-     * with the replica pool's forward/backward passes for batch t+1
-     * (software pipelining of the data-parallel engine). Replicas then
-     * compute batch t+1 against parameters that are one optimizer step
-     * stale — standard one-step-delayed data parallelism, so pipelined
-     * losses are NOT bitwise-equal to the synchronous schedule (they
-     * converge equivalently; see tests/test_session.cpp). Results remain
-     * deterministic for a fixed worker count, independent of machine and
-     * thread timing. Off by default: pipeline=false keeps today's fully
-     * synchronous, bitwise-reproducible behaviour. Requires workers >= 2
-     * to have any effect.
-     */
-    bool pipeline = false;
-
-    /**
      * Evaluate on the dev (test) set every N batches inside an epoch, on
      * top of the end-of-epoch evaluation. Mid-epoch stats flow through
      * the same epoch-callback machinery tagged mid_epoch (their return
@@ -373,9 +358,6 @@ class ClassificationTask : public DonnTaskBase
     /** Top-1 and top-3 accuracy over the bound test set. */
     TaskMetrics evaluate() override;
 
-    /** Re-bind (or clear) the held-out test set. */
-    void setTest(const ClassDataset *test) { test_ = test; }
-
   protected:
     SampleResult sampleStep(DonnModel &model, std::size_t index) override;
 
@@ -411,16 +393,6 @@ class SegmentationTask : public DonnTaskBase
     /** Scale applied to |U|^2 before comparing against masks. */
     Real intensityScale() const { return intensity_scale_; }
 
-    /** Expected mask brightness used for auto-exposure. */
-    Real maskMean() const { return mask_mean_; }
-
-    /** Adopt previously computed calibration state (trainer shims). */
-    void setCalibration(Real intensity_scale, Real mask_mean)
-    {
-        intensity_scale_ = intensity_scale;
-        mask_mean_ = mask_mean;
-    }
-
     /**
      * Predicted mask: detector-plane intensity auto-exposed so its mean
      * matches the expected mask brightness (camera exposure control;
@@ -436,9 +408,6 @@ class SegmentationTask : public DonnTaskBase
 
     /** Mean per-pixel MSE against the masks. */
     Real evaluateMse(const SegDataset &data);
-
-    /** Re-bind (or clear) the held-out test set. */
-    void setTest(const SegDataset *test) { test_ = test; }
 
   protected:
     SampleResult sampleStep(DonnModel &model, std::size_t index) override;
@@ -486,9 +455,6 @@ class RgbTask : public Task
     TaskMetrics evaluate() override;
 
     bool save(const std::string &path) const override;
-
-    /** Re-bind (or clear) the held-out test set. */
-    void setTest(const RgbDataset *test) { test_ = test; }
 
     MultiChannelDonn &model() { return model_; }
 

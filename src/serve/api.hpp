@@ -7,17 +7,13 @@
  *
  * v2 (this header) foregrounds SLA-aware scheduling: an InferRequest
  * carries a steady-clock `deadline` budget and a `Priority` class, and
- * an InferResponse reports failure through a typed `ServeStatus` code
- * instead of the v1 exception-only path. v1 callers keep working: the
- * new fields default to "no deadline / normal priority", and
- * `InferenceEngine::submitLegacy` preserves the old exception-carrying
- * future semantics bit-for-bit (pinned in tests/test_serve.cpp).
+ * an InferResponse reports failure through a typed `ServeStatus` code.
+ * The fields default to "no deadline / normal priority".
  */
 #pragma once
 
 #include <chrono>
 #include <cstdint>
-#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -163,21 +159,6 @@ struct InferResponse
                                 ///< fanned out to (0 for plain models)
 
     bool ok() const { return status == ServeStatus::Ok; }
-};
-
-/** Exception form of a non-Ok response, thrown by the deprecated
- *  exception-style entry points (submitLegacy / v1 inferNow semantics). */
-class ServeStatusError : public std::runtime_error
-{
-  public:
-    ServeStatusError(ServeStatus status, const std::string &what)
-        : std::runtime_error(what), status_(status)
-    {}
-
-    ServeStatus status() const { return status_; }
-
-  private:
-    ServeStatus status_;
 };
 
 } // namespace lightridge

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <utility>
 
 #include "optics/workspace.hpp"
@@ -46,24 +47,11 @@ InferenceEngine::~InferenceEngine()
 std::future<InferResponse>
 InferenceEngine::submit(InferRequest request)
 {
-    return enqueue(std::move(request), /*legacy=*/false);
-}
-
-std::future<InferResponse>
-InferenceEngine::submitLegacy(InferRequest request)
-{
-    return enqueue(std::move(request), /*legacy=*/true);
-}
-
-std::future<InferResponse>
-InferenceEngine::enqueue(InferRequest request, bool legacy)
-{
     if (registry_.isEnsemble(request.model))
-        return enqueueEnsemble(std::move(request), legacy);
+        return enqueueEnsemble(std::move(request));
 
     Pending pending;
     pending.request = std::move(request);
-    pending.legacy = legacy;
     pending.enqueued = std::chrono::steady_clock::now();
     std::future<InferResponse> future = pending.promise.get_future();
 
@@ -93,11 +81,10 @@ InferenceEngine::enqueue(InferRequest request, bool legacy)
 }
 
 std::future<InferResponse>
-InferenceEngine::enqueueEnsemble(InferRequest request, bool legacy)
+InferenceEngine::enqueueEnsemble(InferRequest request)
 {
     auto job = std::make_shared<EnsembleJob>();
     job->parent.request = std::move(request);
-    job->parent.legacy = legacy;
     job->parent.enqueued = std::chrono::steady_clock::now();
     std::future<InferResponse> future = job->parent.promise.get_future();
 
@@ -294,18 +281,6 @@ void
 InferenceEngine::failPending(Pending &pending, ServeStatus status,
                              const std::string &error, double latency_ms)
 {
-    if (pending.legacy) {
-        // v1 semantics: failures travel as exceptions through the
-        // future, with the same exception types v1 threw.
-        std::exception_ptr ep;
-        if (status == ServeStatus::UnknownModel)
-            ep = std::make_exception_ptr(
-                UnknownModelError(pending.request.model));
-        else
-            ep = std::make_exception_ptr(ServeStatusError(status, error));
-        pending.promise.set_exception(ep);
-        return;
-    }
     InferResponse response;
     response.id = pending.request.id;
     response.model = pending.request.model;
@@ -585,7 +560,6 @@ InferenceEngine::runBatch(const std::string &model_name,
     const auto started = std::chrono::steady_clock::now();
     std::vector<InferResponse> responses(batch.size());
     std::vector<ServeStatus> statuses(batch.size(), ServeStatus::Ok);
-    std::vector<std::exception_ptr> errors(batch.size());
     std::vector<std::string> messages(batch.size());
     pool_->parallelFor(batch.size(), [&](std::size_t i) {
         const Pending &pending = batch[i];
@@ -626,12 +600,10 @@ InferenceEngine::runBatch(const std::string &model_name,
                 response.logits.begin());
         } catch (const std::exception &e) {
             statuses[i] = ServeStatus::BadInput;
-            errors[i] = std::current_exception();
             messages[i] =
                 e.what()[0] != '\0' ? e.what() : "inference failed";
         } catch (...) {
             statuses[i] = ServeStatus::BadInput;
-            errors[i] = std::current_exception();
             messages[i] = "unknown inference error";
         }
     });
@@ -673,11 +645,7 @@ InferenceEngine::runBatch(const std::string &model_name,
             continue;
         }
         if (statuses[i] != ServeStatus::Ok) {
-            if (errors[i] && batch[i].legacy) {
-                batch[i].promise.set_exception(errors[i]);
-            } else {
-                failPending(batch[i], statuses[i], messages[i], ms);
-            }
+            failPending(batch[i], statuses[i], messages[i], ms);
             continue;
         }
         InferResponse &response = responses[i];

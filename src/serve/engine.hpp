@@ -24,8 +24,8 @@
  * -model admission quotas shed load with ServeStatus::Overloaded
  * (lowest-priority, youngest queued work is evicted first) before the
  * bounded queue can collapse into unbounded waiting. All failures are
- * typed ServeStatus codes on the response; the futures themselves only
- * carry exceptions through the deprecated legacy path.
+ * typed ServeStatus codes on the response; the futures never carry
+ * exceptions.
  */
 #pragma once
 
@@ -33,7 +33,6 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
-#include <exception>
 #include <future>
 #include <map>
 #include <memory>
@@ -65,10 +64,10 @@ struct BatchingConfig
      * one model may be queued; past it, load is shed with
      * ServeStatus::Overloaded instead of queueing (lowest-priority
      * youngest queued request of that model is evicted first when the
-     * newcomer outranks it). 0 disables admission control and keeps the
-     * v1 blocking-backpressure behavior. Socket front ends should set a
-     * quota — a shed is a 503 the client can retry; a blocked submit is
-     * an IO thread doing nothing.
+     * newcomer outranks it). 0 disables admission control: a submit
+     * then blocks while the global queue is full. Socket front ends
+     * should set a quota — a shed is a 503 the client can retry; a
+     * blocked submit is an IO thread doing nothing.
      */
     std::size_t max_queued_per_model = 0;
 };
@@ -141,19 +140,6 @@ class InferenceEngine
         LIGHTRIDGE_EXCLUDES(mutex_);
 
     /**
-     * v1 exception-style submit: identical enqueueing, scheduling and
-     * (bitwise) results, but a non-Ok outcome is delivered as an
-     * exception through the future — UnknownModelError for an unknown
-     * model, the original worker exception for an inference failure,
-     * ServeStatusError otherwise.
-     * @deprecated Thin alias for pre-v2 callers; use submit() and
-     *             check `InferResponse::status`. Pinned bitwise against
-     *             submit() in tests/test_serve.cpp.
-     */
-    std::future<InferResponse> submitLegacy(InferRequest request)
-        LIGHTRIDGE_EXCLUDES(mutex_);
-
-    /**
      * Synchronous convenience: submit + wait. One-at-a-time callers get
      * singleton batches — this is the "sequential dispatch" baseline the
      * serving benchmark compares micro-batching against.
@@ -205,7 +191,6 @@ class InferenceEngine
         InferRequest request;
         std::promise<InferResponse> promise;
         std::chrono::steady_clock::time_point enqueued;
-        bool legacy = false; ///< deliver failures as exceptions (v1)
 
         /** Fan-out bookkeeping: member sub-requests of an ensemble
          *  carry the shared job and their member slot; their `request`
@@ -242,10 +227,7 @@ class InferenceEngine
         std::size_t max_member_batch LIGHTRIDGE_GUARDED_BY(mutex) = 0;
     };
 
-    std::future<InferResponse> enqueue(InferRequest request, bool legacy)
-        LIGHTRIDGE_EXCLUDES(mutex_);
-    std::future<InferResponse> enqueueEnsemble(InferRequest request,
-                                               bool legacy)
+    std::future<InferResponse> enqueueEnsemble(InferRequest request)
         LIGHTRIDGE_EXCLUDES(mutex_);
 
     /**
@@ -283,8 +265,8 @@ class InferenceEngine
      *  parent stats/metrics, and resolve the parent promise. */
     void finishEnsemble(EnsembleJob &job) LIGHTRIDGE_EXCLUDES(mutex_);
 
-    /** Resolve one pending with a non-Ok status (value or, for legacy
-     *  pendings, the matching exception). Does not touch stats. */
+    /** Resolve one pending with a non-Ok status response. Does not
+     *  touch stats. */
     static void failPending(Pending &pending, ServeStatus status,
                             const std::string &error, double latency_ms);
 

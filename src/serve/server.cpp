@@ -11,7 +11,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <sstream>
 #include <utility>
@@ -55,26 +54,17 @@ SampleSource::sample(const std::string &name, std::uint64_t seed,
 
 namespace {
 
-/** True for a finite JSON number with no fractional part. */
-bool
-isWholeNumber(double v)
-{
-    return std::isfinite(v) && v == std::floor(v);
-}
-
 RealMap
 imageFromJson(const Json &j)
 {
-    const double rows = j.at("rows").asNumber();
-    const double cols = j.at("cols").asNumber();
-    if (!isWholeNumber(rows) || !isWholeNumber(cols) || rows < 1 ||
-        cols < 1)
-        throw JsonError("request image: rows and cols must be integers "
-                        ">= 1");
+    const char *what = "request image: rows and cols";
+    const std::uint64_t rows = j.at("rows").asInteger(what, 1);
+    const std::uint64_t cols = j.at("cols").asInteger(what, 1);
     const Json::Array &data = j.at("data").asArray();
-    // Compared as doubles before any cast, so the product cannot wrap; it
-    // is exact whenever it is small enough to equal a real array length.
-    if (rows * cols != static_cast<double>(data.size()))
+    // Multiplied as doubles, so the product cannot wrap; it is exact
+    // whenever it is small enough to equal a real array length.
+    if (static_cast<double>(rows) * static_cast<double>(cols) !=
+        static_cast<double>(data.size()))
         throw JsonError("request image: data length != rows*cols");
     RealMap image(static_cast<std::size_t>(rows),
                   static_cast<std::size_t>(cols));
@@ -87,12 +77,10 @@ imageFromJson(const Json &j)
 std::size_t
 sampleIndexFromJson(const Json &sample)
 {
-    const double index = sample.numberOr("index", 0.0);
-    if (!isWholeNumber(index) || index < 0 ||
-        index > static_cast<double>(SampleSource::kMaxIndex))
-        throw JsonError("sample index must be an integer in [0, " +
-                        std::to_string(SampleSource::kMaxIndex) + "]");
-    return static_cast<std::size_t>(index);
+    if (!sample.has("index"))
+        return 0;
+    return static_cast<std::size_t>(sample.at("index").asInteger(
+        "sample index", 0, SampleSource::kMaxIndex));
 }
 
 } // namespace
@@ -114,15 +102,15 @@ parseServeRequestJson(const Json &j, std::uint64_t fallback_id,
     } else {
         throw JsonError("request needs \"model\"");
     }
-    parsed.request.id = static_cast<std::uint64_t>(
-        j.numberOr("id", static_cast<double>(fallback_id)));
+    parsed.request.id =
+        j.has("id") ? j.at("id").asInteger("request id") : fallback_id;
     if (j.has("image")) {
         parsed.request.image = imageFromJson(j.at("image"));
     } else if (j.has("sample")) {
         const Json &s = j.at("sample");
         SampleSource::Sample drawn = samples.sample(
             s.at("dataset").asString(),
-            static_cast<std::uint64_t>(s.numberOr("seed", 1.0)),
+            s.has("seed") ? s.at("seed").asInteger("sample seed") : 1,
             sampleIndexFromJson(s));
         parsed.request.image = std::move(drawn.image);
         parsed.label = drawn.label;

@@ -316,6 +316,26 @@ Json::pretty(int indent) const
     return out.str();
 }
 
+std::uint64_t
+Json::asInteger(const std::string &what, std::uint64_t lo,
+                std::uint64_t hi) const
+{
+    const double v = asNumber();
+    // 2^64 is exact as a double, so `v < 0x1p64` makes the cast defined;
+    // the [lo, hi] test then runs on the integer.
+    const bool whole = std::isfinite(v) && v == std::floor(v) && v >= 0 &&
+                       v < 0x1p64;
+    const std::uint64_t n = whole ? static_cast<std::uint64_t>(v) : 0;
+    if (whole && n >= lo && n <= hi)
+        return n;
+    std::string range = ">= " + std::to_string(lo);
+    if (hi != std::numeric_limits<std::uint64_t>::max())
+        range = "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    char got[40];
+    std::snprintf(got, sizeof(got), "%.17g", v);
+    throw JsonError(what + " must be an integer " + range + ", got " + got);
+}
+
 Json
 Json::parse(const std::string &text)
 {

@@ -9,6 +9,8 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -62,6 +64,19 @@ class Json
     Array &asArray() { expect(Type::Array); return array_; }
     const Object &asObject() const { expect(Type::Object); return object_; }
     Object &asObject() { expect(Type::Object); return object_; }
+
+    /**
+     * Checked integer read for input we do not control: the value must
+     * be a number with no fractional part in [lo, hi], else JsonError
+     * naming `what` (0.5, 1e300 and -1 all throw; a non-number throws as
+     * asNumber() does). The test runs on the double before any cast, so
+     * no out-of-range value reaches an undefined float-to-integer
+     * conversion.
+     */
+    std::uint64_t
+    asInteger(const std::string &what, std::uint64_t lo = 0,
+              std::uint64_t hi = std::numeric_limits<std::uint64_t>::max())
+        const;
 
     /** Object member access; creates members on mutable objects. */
     Json &

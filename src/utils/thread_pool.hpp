@@ -48,8 +48,8 @@ class ThreadPool
     /**
      * Enqueue one fire-and-forget job. Unlike parallelFor this does not
      * block: the caller arranges its own completion signalling, which is
-     * what lets the pipelined training engine overlap the main thread's
-     * gradient merge with the pool's next-batch forwards. On a pool with
+     * what lets the shard prefetcher (data/stream) decode the next shards
+     * while the current batch trains. On a pool with
      * no workers the job runs inline before returning (same side effects,
      * no concurrency), so single-core hosts degrade gracefully instead of
      * deadlocking on a queue nobody drains. Jobs must not throw.

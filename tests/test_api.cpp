@@ -10,6 +10,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <stdexcept>
+#include <string>
 
 #include "api/experiment.hpp"
 #include "data/shard.hpp"
@@ -169,6 +171,52 @@ TEST(ExperimentSpec, BadEnumStringsThrow)
     }
 }
 
+TEST(ExperimentSpec, OutOfRangeIntegersThrow)
+{
+    // Each used to be cast from a double unchecked: batch 0 divided by
+    // zero in the serial loop (SIGFPE), size -1 segfaulted, epochs 1e300
+    // wrapped to INT_MIN and trained nothing, workers -3 wrapped to
+    // 2^64 - 3.
+    const struct
+    {
+        const char *object;
+        const char *key;
+        double value;
+    } bad[] = {
+        {"train", "batch", 0},      {"system", "size", -1},
+        {"system", "size", 0},      {"train", "epochs", 1e300},
+        {"train", "epochs", -1},    {"train", "workers", -3},
+        {"train", "seed", 0.5},     {"train", "seed", 1.8446744073709552e19},
+        {"data", "train", 1e300},   {"data", "seed", -1},
+        {"detector", "det_size", 2.5},
+    };
+    for (const auto &[object, key, value] : bad) {
+        SCOPED_TRACE(std::string(object) + "." + key);
+        Json j = tinySpec().toJson();
+        j[object][key] = Json(value);
+        try {
+            ExperimentSpec::fromJson(j);
+            ADD_FAILURE() << "expected JsonError";
+        } catch (const JsonError &e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
+    Json j = tinySpec().toJson();
+    j["model_seed"] = Json(-1.0);
+    EXPECT_THROW(ExperimentSpec::fromJson(j), JsonError);
+
+    // The checked reads still take every value a spec can mean.
+    j = tinySpec().toJson();
+    j["train"]["epochs"] = Json(0);
+    j["train"]["workers"] = Json(0);
+    j["train"]["seed"] = Json(1152921504606846976.0); // 2^60, exact
+    ExperimentSpec spec = ExperimentSpec::fromJson(j);
+    EXPECT_EQ(spec.train.epochs, 0);
+    EXPECT_EQ(spec.train.workers, 0u);
+    EXPECT_EQ(spec.train.seed, 1ull << 60);
+}
+
 TEST(ExperimentSpec, ResolvedSystemAppliesHalfConeRule)
 {
     ExperimentSpec spec = tinySpec();
@@ -320,18 +368,36 @@ TEST(RunExperiment, ReportRecordsExecutionMode)
 {
     ExperimentSpec spec = tinySpec();
     spec.train.workers = 1;
-    spec.train.pipeline = true;
     ExperimentResult result = runExperiment(spec);
     EXPECT_EQ(result.workers_used, 1u);
     EXPECT_EQ(result.workers_requested, 1u);
-    EXPECT_TRUE(result.pipeline);
 
     Json report = result.report(spec);
     const Json &execution = report.at("execution");
     EXPECT_EQ(execution.at("workers").asInt(), 1);
     EXPECT_EQ(execution.at("workers_requested").asInt(), 1);
-    EXPECT_TRUE(execution.at("pipeline").asBool());
     EXPECT_TRUE(execution.has("hw_threads"));
+}
+
+TEST(RunExperiment, NonFiniteLossThrowsInsteadOfReportingNan)
+{
+    // A step size this large drives the phases to inf within a few
+    // batches; the run must stop with an error, not report "nan".
+    ExperimentSpec spec = tinySpec();
+    spec.train.lr = 1e308;
+    spec.train.epochs = 2;
+    for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(workers);
+        spec.train.workers = workers;
+        try {
+            runExperiment(spec);
+            ADD_FAILURE() << "expected a non-finite loss error";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("non-finite training loss"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(ExperimentSpec, DatasetObjectParsesShardedSource)

@@ -376,12 +376,17 @@ TEST(HttpServer, TypedErrorsMapToHttpStatuses)
     EXPECT_EQ(after_deep.status, 200);
 
     // Hostile bodies: image shapes whose rows*cols wraps to data.size(),
-    // a finite frame whose logits overflow, and sample indices that would
-    // synthesize without bound. Each is a quick 400 whose JSON body names
-    // the check, and the connection answers the next request.
+    // a finite frame whose logits overflow, sample indices that would
+    // synthesize without bound, and ids or seeds no uint64_t holds. Each
+    // is a quick 400 whose JSON body names the check, and the connection
+    // answers the next request.
     RealMap blinding(frame.rows(), frame.cols(), 1e200);
     Json overflow;
     overflow["image"] = imageJson(blinding);
+    Json huge_id = body;
+    huge_id["id"] = Json(1e300);
+    Json negative_id = body;
+    negative_id["id"] = Json(-1);
     const struct
     {
         std::string payload;
@@ -398,6 +403,10 @@ TEST(HttpServer, TypedErrorsMapToHttpStatuses)
          "sample index"},
         {R"({"sample":{"dataset":"digits","seed":1,"index":-1}})",
          "sample index"},
+        {huge_id.dump(), "request id"},
+        {negative_id.dump(), "request id"},
+        {R"({"sample":{"dataset":"digits","seed":1e300}})", "sample seed"},
+        {R"({"sample":{"dataset":"digits","seed":-1}})", "sample seed"},
     };
     for (const auto &[payload, error] : hostile) {
         SCOPED_TRACE(payload.substr(0, 80));

@@ -5,6 +5,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 
 #include "utils/json.hpp"
@@ -113,6 +114,29 @@ TEST(Json, TypeMismatchThrows)
     EXPECT_THROW(j.asObject(), JsonError);
     EXPECT_THROW(j.asString(), JsonError);
     EXPECT_THROW(j.at("x"), JsonError);
+}
+
+TEST(Json, CheckedIntegerAcceptsOnlyWholeNumbersInRange)
+{
+    EXPECT_EQ(Json(0).asInteger("n"), 0u);
+    EXPECT_EQ(Json(4096).asInteger("n", 0, 4096), 4096u);
+    // The largest double below 2^64 is a valid uint64_t; 2^64 is not.
+    EXPECT_EQ(Json(18446744073709549568.0).asInteger("n"),
+              18446744073709549568ull);
+    for (double bad : {-1.0, 0.5, 1e300, 18446744073709551616.0,
+                       std::nan(""), HUGE_VAL}) {
+        SCOPED_TRACE(bad);
+        EXPECT_THROW(Json(bad).asInteger("n"), JsonError);
+    }
+    EXPECT_THROW(Json(4097).asInteger("n", 0, 4096), JsonError);
+    EXPECT_THROW(Json(0).asInteger("n", 1), JsonError);
+    EXPECT_THROW(Json("7").asInteger("n"), JsonError);
+    try {
+        Json(-3).asInteger("workers");
+        FAIL() << "expected JsonError";
+    } catch (const JsonError &e) {
+        EXPECT_STREQ(e.what(), "workers must be an integer >= 0, got -3");
+    }
 }
 
 TEST(Json, MissingKeyThrowsAndNumberOrDefaults)

@@ -9,8 +9,8 @@
 
 #include "core/layer_norm.hpp"
 #include "core/model.hpp"
+#include "core/session.hpp"
 #include "core/skip.hpp"
-#include "core/trainer.hpp"
 #include "data/synth_digits.hpp"
 
 namespace lightridge {

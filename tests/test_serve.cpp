@@ -7,9 +7,8 @@
  * single-model inference, and unload-while-busy must be safe (this
  * suite runs under the TSan CI leg).
  *
- * Serving API v2 coverage: typed ServeStatus failures, the deprecated
- * exception-style submitLegacy alias pinned bitwise against submit(),
- * deadline expiry (an expired request never reaches a batch slot),
+ * Serving API v2 coverage: typed ServeStatus failures, deadline expiry
+ * (an expired request never reaches a batch slot),
  * priority-major batch formation, per-model admission quotas shedding
  * lowest-priority-youngest first, and metrics-counter consistency.
  */
@@ -278,49 +277,6 @@ TEST(InferenceEngine, UnknownModelIsATypedStatus)
     EXPECT_EQ(engine.stats().failed, 1u);
     EXPECT_EQ(engine.metrics().statusCount(ServeStatus::UnknownModel),
               1u);
-}
-
-TEST(InferenceEngine, LegacySubmitKeepsV1ExceptionSemantics)
-{
-    ModelRegistry registry;
-    registry.registerModel("m", tinyModel(16, 1));
-    InferenceEngine engine(registry);
-    const RealMap frame = testFrames(1)[0];
-
-    // Pinned bitwise: the deprecated alias schedules and computes
-    // exactly like submit(), only the failure channel differs.
-    InferRequest v2;
-    v2.model = "m";
-    v2.image = frame;
-    InferRequest v1;
-    v1.model = "m";
-    v1.image = frame;
-    const InferResponse v2_response = engine.submit(std::move(v2)).get();
-    const InferResponse v1_response =
-        engine.submitLegacy(std::move(v1)).get();
-    EXPECT_EQ(v1_response.logits, v2_response.logits);
-    EXPECT_EQ(v1_response.prediction, v2_response.prediction);
-    EXPECT_EQ(v1_response.status, ServeStatus::Ok);
-
-    InferRequest ghost;
-    ghost.model = "ghost";
-    ghost.image = frame;
-    std::future<InferResponse> future =
-        engine.submitLegacy(std::move(ghost));
-    EXPECT_THROW(future.get(), UnknownModelError);
-
-    InferRequest expired;
-    expired.model = "m";
-    expired.image = frame;
-    expired.deadline = std::chrono::milliseconds(-1);
-    std::future<InferResponse> expired_future =
-        engine.submitLegacy(std::move(expired));
-    try {
-        expired_future.get();
-        FAIL() << "expected ServeStatusError";
-    } catch (const ServeStatusError &e) {
-        EXPECT_EQ(e.status(), ServeStatus::DeadlineExceeded);
-    }
 }
 
 TEST(InferenceEngine, ExpiredOnArrivalNeverReachesABatch)
