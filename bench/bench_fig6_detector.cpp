@@ -72,7 +72,7 @@ main()
     int agree = 0;
     for (std::size_t i = 0; i < test.size(); ++i) {
         Field input = model.encode(test.images[i]);
-        Field u_sim = model.forwardField(input, false);
+        Field u_sim = model.inferField(input);
         RealMap sim_pattern = u_sim.intensity();
         RealMap hw_pattern =
             captureDetectorImage(hw, test.images[i], cmos, &hw_rng);

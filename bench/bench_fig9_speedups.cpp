@@ -84,11 +84,11 @@ main()
                 model.addLayer(std::move(layer));
             }
             Field encoded = Field::fromAmplitude(input);
-            model.forwardField(encoded, false); // warm plans
+            model.inferField(encoded); // warm plans
             const int reps = n <= 128 ? 5 : 2;
             WallTimer lr_timer;
             for (int r = 0; r < reps; ++r)
-                model.forwardField(encoded, false);
+                model.inferField(encoded);
             double lr_ms = lr_timer.milliseconds() / reps;
 
             // Baseline path (expensive: single reps at large sizes).

@@ -56,10 +56,10 @@ main()
         model.addLayer(std::move(layer));
     }
     Field encoded = Field::fromAmplitude(input);
-    model.forwardField(encoded, false); // warm the plans
+    model.inferField(encoded); // warm the plans
     WallTimer lr_timer;
     for (int r = 0; r < reps; ++r)
-        model.forwardField(encoded, false);
+        model.inferField(encoded);
     double lr_ms = lr_timer.milliseconds() / reps;
 
     // LightPipes-like emulation (plan-less, uncached, unfused).

@@ -60,7 +60,8 @@ runTask(const ClassDataset &train, const ClassDataset &test,
         WallTimer t;
         int reps = 16;
         for (int i = 0; i < reps; ++i)
-            donn.predict(donn.encode(test.images[i % test.size()]));
+            donn.detector().readout(
+                donn.inferField(donn.encode(test.images[i % test.size()])));
         out.donn_fps = reps / t.seconds();
     }
 

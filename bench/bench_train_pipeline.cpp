@@ -114,6 +114,20 @@ allocatingSweep(BenchModel &bm, std::vector<AllocatingLayerCache> &caches)
     caches.resize(depth);
     Real loss_sum = 0;
 
+    // Every hop writes into a fresh Field: the pre-workspace allocation
+    // pattern this baseline reproduces on purpose.
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    auto forwardHop = [&](const Field &in) {
+        Field out;
+        prop.forwardInto(in, out, workspace);
+        return out;
+    };
+    auto adjointHop = [&](const Field &in) {
+        Field out;
+        prop.adjointInto(in, out, workspace);
+        return out;
+    };
+
     for (std::size_t s = 0; s < bm.images.size(); ++s) {
         // Seed encode: profile transcendentals evaluated per sample.
         Field input = encodeInput(bm.images[s], laser, grid);
@@ -124,10 +138,7 @@ allocatingSweep(BenchModel &bm, std::vector<AllocatingLayerCache> &caches)
         for (std::size_t l = 0; l < depth; ++l) {
             auto *layer =
                 dynamic_cast<DiffractiveLayer *>(bm.model.layer(l));
-            // Baseline reproduces the pre-workspace allocating path
-            // on purpose.
-            // lint:allow(deprecated-api)
-            Field diffracted = prop.forward(u);
+            Field diffracted = forwardHop(u);
             Field out(grid.n, grid.n);
             const RealMap &phase = layer->phase();
             for (std::size_t i = 0; i < out.size(); ++i)
@@ -136,7 +147,7 @@ allocatingSweep(BenchModel &bm, std::vector<AllocatingLayerCache> &caches)
             caches[l].out = out;
             u = std::move(out);
         }
-        Field det = prop.forward(u); // lint:allow(deprecated-api)
+        Field det = forwardHop(u);
 
         std::vector<Real> logits = bm.model.detector().forward(det);
         LossResult loss = classificationLoss(LossKind::SoftmaxMse, logits,
@@ -144,8 +155,9 @@ allocatingSweep(BenchModel &bm, std::vector<AllocatingLayerCache> &caches)
         loss_sum += loss.value;
 
         // Backward: fresh gradient field per hop, as the seed did.
-        Field g = bm.model.detector().backward(loss.dlogits);
-        g = prop.adjoint(g); // lint:allow(deprecated-api)
+        Field g;
+        bm.model.detector().backwardInto(loss.dlogits, g);
+        g = adjointHop(g);
         for (std::size_t l = depth; l-- > 0;) {
             auto *layer =
                 dynamic_cast<DiffractiveLayer *>(bm.model.layer(l));
@@ -160,7 +172,7 @@ allocatingSweep(BenchModel &bm, std::vector<AllocatingLayerCache> &caches)
             Field grad_diff(grid.n, grid.n);
             for (std::size_t i = 0; i < grad_diff.size(); ++i)
                 grad_diff[i] = g[i] * std::polar(Real(1), -phase[i]);
-            g = prop.adjoint(grad_diff); // lint:allow(deprecated-api)
+            g = adjointHop(grad_diff);
         }
     }
     for (AllocatingLayerCache &cache : caches)

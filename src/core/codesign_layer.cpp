@@ -72,31 +72,9 @@ CodesignLayer::unitSoftmax(std::size_t i, bool with_noise, Real *out)
         out[j] /= total;
 }
 
-Field
-CodesignLayer::forward(const Field &in, bool training)
-{
-    Field u = in;
-    forwardInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
-Field
-CodesignLayer::infer(const Field &in) const
-{
-    Field u = in;
-    inferInPlace(u, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
-CodesignLayer::forwardInPlace(Field &u, bool training,
-                              PropagationWorkspace &workspace)
+CodesignLayer::forwardInPlace(Field &u, PropagationWorkspace &workspace)
 {
-    if (!training) {
-        inferInPlace(u, workspace);
-        return;
-    }
-
     const std::size_t n = sideLength();
     const std::size_t k = lut_.size();
     const LayerPerturbation *pert = perturb_;
@@ -168,14 +146,6 @@ CodesignLayer::clone() const
     // The rng_ pointer is copied as-is; parallel trainers rewire each
     // replica to its own noise source via setRng().
     return std::make_unique<CodesignLayer>(*this);
-}
-
-Field
-CodesignLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
 }
 
 void
@@ -281,6 +251,9 @@ CodesignLayer::fromJson(const Json &j,
     DeviceLut lut;
     for (const Json &entry : j.at("lut").asArray()) {
         const auto &pair = entry.asArray();
+        if (pair.size() != 2)
+            throw JsonError("codesign layer lut entry must be [re, im], got " +
+                            std::to_string(pair.size()) + " values");
         lut.levels.emplace_back(pair[0].asNumber(), pair[1].asNumber());
     }
     auto layer = std::make_unique<CodesignLayer>(

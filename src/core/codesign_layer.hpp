@@ -43,11 +43,7 @@ class CodesignLayer : public Layer
 
     std::string kind() const override { return "codesign"; }
 
-    Field forward(const Field &in, bool training) override;
-    Field backward(const Field &grad_out) override;
-    Field infer(const Field &in) const override;
-    void forwardInPlace(Field &u, bool training,
-                        PropagationWorkspace &workspace) override;
+    void forwardInPlace(Field &u, PropagationWorkspace &workspace) override;
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
     void inferInPlace(Field &u,
                       PropagationWorkspace &workspace) const override;

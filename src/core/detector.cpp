@@ -106,29 +106,13 @@ DetectorPlane::forward(const Field &u)
     return readout(u);
 }
 
-Field
-DetectorPlane::backward(const std::vector<Real> &dlogits) const
-{
-    Field grad;
-    backwardInto(dlogits, grad);
-    return grad;
-}
-
-Field
-DetectorPlane::backwardFor(const Field &u,
-                           const std::vector<Real> &dlogits) const
-{
-    Field grad;
-    backwardForInto(u, dlogits, grad);
-    return grad;
-}
-
 void
 DetectorPlane::backwardInto(const std::vector<Real> &dlogits,
                             Field &grad) const
 {
     if (cached_u_.empty())
-        throw std::logic_error("DetectorPlane::backward before forward");
+        throw std::logic_error(
+            "DetectorPlane::backwardInto before forward");
     backwardForInto(cached_u_, dlogits, grad);
 }
 

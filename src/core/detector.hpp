@@ -102,28 +102,22 @@ class DetectorPlane
     std::vector<Real> readoutNoisy(const Field &u, Real noise_frac,
                                    Rng *rng) const;
 
-    /** Caching forward for training. */
+    /** Caching forward for training: readout() that keeps `u` for
+     *  backwardInto(). */
     std::vector<Real> forward(const Field &u);
 
-    /** Backprop dL/dlogits to a Wirtinger field gradient. */
-    Field backward(const std::vector<Real> &dlogits) const;
-
     /**
-     * Same as backward() but against an externally provided field (used by
-     * the multi-channel architecture where several stacks share one
-     * detector).
-     */
-    Field backwardFor(const Field &u,
-                      const std::vector<Real> &dlogits) const;
-
-    /**
-     * In-place backward: writes the Wirtinger gradient into `grad`
-     * (resized at most once; allocation-free in steady state). `grad`
-     * must not alias the cached forward field.
+     * Backprop dL/dlogits of the last forward() to a Wirtinger field
+     * gradient written into `grad` (resized at most once; allocation-free
+     * in steady state). `grad` must not alias the cached forward field.
      */
     void backwardInto(const std::vector<Real> &dlogits, Field &grad) const;
 
-    /** In-place backwardFor(); `grad` must not alias `u`. */
+    /**
+     * backwardInto() against an externally provided field (used by the
+     * multi-channel architecture, where several stacks share one
+     * detector); `grad` must not alias `u`.
+     */
     void backwardForInto(const Field &u, const std::vector<Real> &dlogits,
                          Field &grad) const;
 

@@ -45,22 +45,6 @@ DiffractiveLayer::publishedModulation() const
     return infer_modulation_;
 }
 
-Field
-DiffractiveLayer::forward(const Field &in, bool training)
-{
-    Field u = in;
-    forwardInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
-Field
-DiffractiveLayer::infer(const Field &in) const
-{
-    Field u = in;
-    inferInPlace(u, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
 DiffractiveLayer::ensureModulation()
 {
@@ -79,13 +63,8 @@ DiffractiveLayer::ensureModulation()
 }
 
 void
-DiffractiveLayer::forwardInPlace(Field &u, bool training,
-                                 PropagationWorkspace &workspace)
+DiffractiveLayer::forwardInPlace(Field &u, PropagationWorkspace &workspace)
 {
-    if (!training) {
-        inferInPlace(u, workspace);
-        return;
-    }
     ensureModulation();
     const LayerPerturbation *p = perturb_;
     propagator_->forwardInto(u, cached_diffracted_, workspace,
@@ -152,14 +131,6 @@ LayerPtr
 DiffractiveLayer::clone() const
 {
     return std::make_unique<DiffractiveLayer>(*this);
-}
-
-Field
-DiffractiveLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
 }
 
 void

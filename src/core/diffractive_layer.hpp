@@ -36,11 +36,7 @@ class DiffractiveLayer : public Layer
 
     std::string kind() const override { return "diffractive"; }
 
-    Field forward(const Field &in, bool training) override;
-    Field backward(const Field &grad_out) override;
-    Field infer(const Field &in) const override;
-    void forwardInPlace(Field &u, bool training,
-                        PropagationWorkspace &workspace) override;
+    void forwardInPlace(Field &u, PropagationWorkspace &workspace) override;
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
     void inferInPlace(Field &u,
                       PropagationWorkspace &workspace) const override;
@@ -74,8 +70,9 @@ class DiffractiveLayer : public Layer
      * dominated the train step; with the cache it runs once per
      * optimizer step. Values are the exact std::polar results the
      * uncached loops produced, so training stays bitwise-identical.
-     * Training-path only: infer() keeps computing polar directly and
-     * stays safe for concurrent use of a shared instance.
+     * Training-path only: inferInPlace() reads the mutex-guarded
+     * inferModulation() table instead, so it stays safe for concurrent
+     * use of a shared instance.
      */
     void ensureModulation();
 

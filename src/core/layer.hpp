@@ -4,9 +4,9 @@
  *
  * Gradients follow the Wirtinger adjoint convention: for a real loss L and
  * complex field U, the gradient field is G with dL = Re(sum conj(G) * dU).
- * Each layer caches whatever it needs during forward() and consumes/clears
- * it in backward(). Parameter gradients accumulate across a batch until
- * zeroGrad().
+ * Each layer caches whatever it needs during forwardInPlace() and consumes
+ * it in backwardInPlace(). Parameter gradients accumulate across a batch
+ * until zeroGrad().
  */
 #pragma once
 
@@ -42,65 +42,35 @@ class Layer
     virtual std::string kind() const = 0;
 
     /**
-     * Propagate a field through the layer.
-     * @param in input wavefield
-     * @param training true during training (enables activation caching,
-     *        Gumbel sampling, LayerNorm); false for pure inference
+     * Training forward: `u` holds the input on entry and the layer
+     * output on return. Caches what backwardInPlace() needs; this is
+     * also the only pass that draws Gumbel samples or normalizes.
+     * Propagation scratch is leased from the workspace, so steady-state
+     * execution allocates nothing.
      */
-    virtual Field forward(const Field &in, bool training) = 0;
+    virtual void forwardInPlace(Field &u, PropagationWorkspace &workspace) = 0;
 
     /**
-     * Backpropagate a Wirtinger gradient through the layer, accumulating
-     * parameter gradients. Must follow a forward(..., true) call.
+     * Backward: `g` holds dL/d(out) on entry and dL/d(in) on return;
+     * parameter gradients accumulate. Must follow a forwardInPlace().
      */
-    virtual Field backward(const Field &grad_out) = 0;
+    virtual void backwardInPlace(Field &g,
+                                 PropagationWorkspace &workspace) = 0;
 
     /**
-     * Pure-inference forward pass. Implementations must not mutate any
-     * layer state, so one shared layer instance can propagate independent
-     * samples concurrently (the batched emulation path). Numerically
-     * identical to forward(in, false).
+     * Pure inference in place. Implementations must not mutate any layer
+     * state, so one shared layer instance can propagate independent
+     * samples concurrently (the batched emulation and serving paths).
      */
-    virtual Field infer(const Field &in) const = 0;
-
-    /**
-     * In-place forward: `u` holds the input on entry and the layer output
-     * on return, with propagation scratch leased from the workspace so
-     * steady-state execution allocates nothing. Bitwise-identical to
-     * forward(). The default delegates to the by-value path; the optical
-     * layers override it with true zero-allocation pipelines.
-     */
-    virtual void
-    forwardInPlace(Field &u, bool training, PropagationWorkspace &workspace)
-    {
-        (void)workspace;
-        u = forward(u, training);
-    }
-
-    /** In-place backward: `g` holds dL/d(out) on entry, dL/d(in) on
-     *  return. Bitwise-identical to backward(). */
-    virtual void
-    backwardInPlace(Field &g, PropagationWorkspace &workspace)
-    {
-        (void)workspace;
-        g = backward(g);
-    }
-
-    /** In-place thread-safe inference; bitwise-identical to infer(). */
-    virtual void
-    inferInPlace(Field &u, PropagationWorkspace &workspace) const
-    {
-        (void)workspace;
-        u = infer(u);
-    }
+    virtual void inferInPlace(Field &u,
+                              PropagationWorkspace &workspace) const = 0;
 
     /**
      * Attach one sampled misalignment realization (or detach with
-     * nullptr). The pointed-to realization must outlive every
-     * forward/backward/infer call made while attached; it is read-only
-     * during compute, so several threads may evaluate one perturbed
-     * layer concurrently. Non-optical layers ignore the call. Clones
-     * start detached.
+     * nullptr). The pointed-to realization must outlive every pass
+     * made while attached; it is read-only during compute, so several
+     * threads may evaluate one perturbed layer concurrently. Non-optical
+     * layers ignore the call. Clones start detached.
      */
     virtual void
     setPerturbation(const LayerPerturbation *perturbation)

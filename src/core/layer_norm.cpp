@@ -4,22 +4,9 @@
 
 namespace lightridge {
 
-Field
-LayerNormLayer::forward(const Field &in, bool training)
-{
-    Field u = in;
-    forwardInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
-LayerNormLayer::forwardInPlace(Field &u, bool training,
-                               PropagationWorkspace &)
+LayerNormLayer::forwardInPlace(Field &u, PropagationWorkspace &)
 {
-    if (!training) {
-        active_ = false;
-        return;
-    }
     const std::size_t n = u.size();
     Complex mean{0, 0};
     if (subtract_mean_) {
@@ -40,21 +27,12 @@ LayerNormLayer::forwardInPlace(Field &u, bool training,
         cached_y_[i] = y;
         u[i] = y;
     }
-    active_ = true;
-}
-
-Field
-LayerNormLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
 }
 
 void
 LayerNormLayer::backwardInPlace(Field &g, PropagationWorkspace &)
 {
-    if (!active_)
+    if (cached_y_.empty())
         return;
     // Wirtinger adjoint. Mean-subtracting mode (y = (x - mu)/sigma):
     //   G_x = (1/sigma) * (G_y - S/N - rho * y / N),

@@ -30,13 +30,10 @@ class LayerNormLayer : public Layer
 
     std::string kind() const override { return "layernorm"; }
 
-    Field forward(const Field &in, bool training) override;
-    Field backward(const Field &grad_out) override;
-    /** Inference is the identity: the optical system cannot normalize. */
-    Field infer(const Field &in) const override { return in; }
-    void forwardInPlace(Field &u, bool training,
-                        PropagationWorkspace &workspace) override;
+    void forwardInPlace(Field &u, PropagationWorkspace &workspace) override;
+    /** Identity until a forwardInPlace() has cached a normalization. */
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
+    /** Inference is the identity: the optical system cannot normalize. */
     void inferInPlace(Field &, PropagationWorkspace &) const override {}
     LayerPtr clone() const override
     {
@@ -51,7 +48,6 @@ class LayerNormLayer : public Layer
     bool subtract_mean_;
     Field cached_y_;
     Real cached_sigma_ = 1.0;
-    bool active_ = false;
 };
 
 } // namespace lightridge

@@ -69,20 +69,12 @@ classificationLoss(LossKind kind, const std::vector<Real> &logits, int target)
                                         : crossEntropyLoss(logits, target);
 }
 
-FieldLossResult
-intensityMseLoss(const Field &u, const RealMap &target, Real scale)
-{
-    FieldLossResult out;
-    out.grad = u;
-    out.value = intensityMseLossInPlace(out.grad, target, scale);
-    return out;
-}
-
 Real
 intensityMseLossInPlace(Field &u, const RealMap &target, Real scale)
 {
     if (u.size() != target.size())
-        throw std::invalid_argument("intensityMseLoss: shape mismatch");
+        throw std::invalid_argument(
+            "intensityMseLossInPlace: shape mismatch");
     Real value = 0;
     const Real inv_n = Real(1) / static_cast<Real>(u.size());
     for (std::size_t i = 0; i < u.size(); ++i) {

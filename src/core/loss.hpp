@@ -40,24 +40,11 @@ LossResult crossEntropyLoss(const std::vector<Real> &logits, int target);
 LossResult classificationLoss(LossKind kind, const std::vector<Real> &logits,
                               int target);
 
-/** Value + Wirtinger gradient with respect to the output field. */
-struct FieldLossResult
-{
-    Real value = 0;
-    Field grad;
-};
-
 /**
- * Per-pixel MSE between scale*|U|^2 and a target map:
- * L = mean((scale*|U|^2 - t)^2). Used for all-optical segmentation.
- */
-FieldLossResult intensityMseLoss(const Field &u, const RealMap &target,
-                                 Real scale);
-
-/**
- * In-place variant for the zero-allocation training pipeline: overwrites
- * `u` with the Wirtinger gradient of the loss and returns the loss value.
- * Bitwise-identical to intensityMseLoss().
+ * Per-pixel MSE between scale*|U|^2 and a target map,
+ * L = mean((scale*|U|^2 - t)^2), used for all-optical segmentation.
+ * Returns L and overwrites `u` with its Wirtinger gradient, so the
+ * training pipeline allocates nothing.
  */
 Real intensityMseLossInPlace(Field &u, const RealMap &target, Real scale);
 

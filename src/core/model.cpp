@@ -1,6 +1,5 @@
 #include "core/model.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 
 #include "core/layer_norm.hpp"
@@ -35,7 +34,8 @@ verifyCheckpointHeader(const Json &j, const std::string &origin)
     if (!j.has("version") || !j.at("version").isNumber())
         throw JsonError("checkpoint " + origin +
                         ": malformed header (missing \"version\")");
-    const int version = j.at("version").asInt();
+    const std::uint64_t version =
+        j.at("version").asInteger("checkpoint " + origin + ": version");
     if (version < 1 || version > kCheckpointVersion)
         throw JsonError("checkpoint " + origin + ": unsupported version " +
                         std::to_string(version) + " (this build reads <= " +
@@ -73,12 +73,15 @@ SystemSpec
 SystemSpec::fromJson(const Json &j)
 {
     SystemSpec spec;
-    spec.size = static_cast<std::size_t>(j.at("size").asNumber());
+    spec.size = j.at("size").asInteger("spec.size", 1);
     spec.pixel = j.at("pixel").asNumber();
     spec.distance = j.at("distance").asNumber();
-    spec.approx = static_cast<Diffraction>(j.at("approx").asInt());
-    spec.method = static_cast<PropagationMethod>(j.at("method").asInt());
-    spec.pad_factor = static_cast<std::size_t>(j.at("pad_factor").asNumber());
+    spec.approx = static_cast<Diffraction>(j.at("approx").asInteger(
+        "spec.approx", 0, static_cast<int>(Diffraction::Fraunhofer)));
+    spec.method = static_cast<PropagationMethod>(j.at("method").asInteger(
+        "spec.method", 0,
+        static_cast<int>(PropagationMethod::ImpulseResponse)));
+    spec.pad_factor = j.at("pad_factor").asInteger("spec.pad_factor", 1);
     return spec;
 }
 
@@ -99,16 +102,20 @@ regionsToJson(const std::vector<DetectorRegion> &regions)
     return out;
 }
 
+/** Regions of `field`; each must fit inside the n-by-n detector plane. */
 std::vector<DetectorRegion>
-regionsFromJson(const Json &j)
+regionsFromJson(const Json &j, std::size_t n, const std::string &field)
 {
     std::vector<DetectorRegion> regions;
-    for (const Json &r : j.asArray()) {
+    const Json::Array &list = j.asArray();
+    for (std::size_t i = 0; i < list.size(); ++i) {
+        const Json &r = list[i];
+        const std::string at = field + "[" + std::to_string(i) + "].";
         DetectorRegion reg;
-        reg.r0 = static_cast<std::size_t>(r.at("r0").asNumber());
-        reg.c0 = static_cast<std::size_t>(r.at("c0").asNumber());
-        reg.h = static_cast<std::size_t>(r.at("h").asNumber());
-        reg.w = static_cast<std::size_t>(r.at("w").asNumber());
+        reg.r0 = r.at("r0").asInteger(at + "r0", 0, n - 1);
+        reg.c0 = r.at("c0").asInteger(at + "c0", 0, n - 1);
+        reg.h = r.at("h").asInteger(at + "h", 1, n - reg.r0);
+        reg.w = r.at("w").asInteger(at + "w", 1, n - reg.c0);
         regions.push_back(reg);
     }
     return regions;
@@ -167,14 +174,6 @@ DonnModel::encodeInto(const RealMap &image, Field &out) const
     window(resized);
 }
 
-Field
-DonnModel::forwardField(const Field &input, bool training)
-{
-    Field u = input;
-    forwardFieldInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
 DonnModel::forwardFieldInPlace(Field &u, bool training,
                                PropagationWorkspace &workspace)
@@ -184,7 +183,7 @@ DonnModel::forwardFieldInPlace(Field &u, bool training,
         return;
     }
     for (LayerPtr &layer : layers_)
-        layer->forwardInPlace(u, training, workspace);
+        layer->forwardInPlace(u, workspace);
     propagator_->forwardInto(u, u, workspace,
                              perturb_ ? &perturb_->final_hop : nullptr);
 }
@@ -222,49 +221,6 @@ DonnModel::forwardFieldBatch(const std::vector<Field> &inputs,
     return outputs;
 }
 
-std::vector<std::vector<Real>>
-DonnModel::forwardLogitsBatch(const std::vector<Field> &inputs,
-                              ThreadPool *pool) const
-{
-    if (detector_.numClasses() == 0)
-        throw std::logic_error("DonnModel: detector not configured");
-    std::vector<std::vector<Real>> logits(inputs.size());
-    if (pool == nullptr)
-        pool = &ThreadPool::global();
-    pool->parallelFor(inputs.size(), [&](std::size_t i) {
-        PropagationWorkspace &workspace =
-            PropagationWorkspace::threadLocal();
-        WorkspaceField u(workspace, inputs[i].rows(), inputs[i].cols());
-        std::copy(inputs[i].data(), inputs[i].data() + inputs[i].size(),
-                  u->data());
-        logits[i] = inferLogitsInPlace(u.get(), workspace);
-    });
-    return logits;
-}
-
-std::vector<Real>
-DonnModel::forwardLogits(const Field &input, bool training)
-{
-    Field u = forwardField(input, training);
-    if (detector_.numClasses() == 0)
-        throw std::logic_error("DonnModel: detector not configured");
-    return training ? detector_.forward(u) : detector_.readout(u);
-}
-
-int
-DonnModel::predict(const Field &input)
-{
-    std::vector<Real> logits = forwardLogits(input, false);
-    return static_cast<int>(
-        std::max_element(logits.begin(), logits.end()) - logits.begin());
-}
-
-void
-DonnModel::backwardFromLogits(const std::vector<Real> &dlogits)
-{
-    backwardField(detector_.backward(dlogits));
-}
-
 void
 DonnModel::backwardFromLogitsInPlace(const std::vector<Real> &dlogits,
                                      Field &g,
@@ -280,7 +236,7 @@ DonnModel::forwardLogitsInPlace(Field &u, bool training,
 {
     if (!training)
         return inferLogitsInPlace(u, workspace);
-    forwardFieldInPlace(u, training, workspace);
+    forwardFieldInPlace(u, /*training=*/true, workspace);
     if (detector_.numClasses() == 0)
         throw std::logic_error("DonnModel: detector not configured");
     return detector_.forward(u);
@@ -294,13 +250,6 @@ DonnModel::inferLogitsInPlace(Field &u,
     if (detector_.numClasses() == 0)
         throw std::logic_error("DonnModel: detector not configured");
     return detector_.readout(u);
-}
-
-void
-DonnModel::backwardField(const Field &grad_at_detector)
-{
-    Field g = grad_at_detector;
-    backwardFieldInPlace(g, PropagationWorkspace::threadLocal());
 }
 
 void
@@ -394,7 +343,8 @@ DonnModel::fromJson(const Json &j)
     Laser laser;
     const Json &lj = j.at("laser");
     laser.wavelength = lj.at("wavelength").asNumber();
-    laser.profile = static_cast<BeamProfile>(lj.at("profile").asInt());
+    laser.profile = static_cast<BeamProfile>(lj.at("profile").asInteger(
+        "laser.profile", 0, static_cast<int>(BeamProfile::Bessel)));
     laser.waist = lj.numberOr("waist", 0.0);
     laser.power_watts = lj.numberOr("power_watts", 5e-3);
 
@@ -429,12 +379,14 @@ DonnModel::fromJson(const Json &j)
     if (j.has("detector")) {
         const Json &det = j.at("detector");
         std::vector<DetectorRegion> regions =
-            regionsFromJson(det.at("regions"));
+            regionsFromJson(det.at("regions"), spec.size, "detector.regions");
         const bool differential =
             det.has("mode") && det.at("mode").asString() == "differential";
         if (!regions.empty() && differential) {
             model.setDetector(DetectorPlane(
-                std::move(regions), regionsFromJson(det.at("neg_regions")),
+                std::move(regions),
+                regionsFromJson(det.at("neg_regions"), spec.size,
+                                "detector.neg_regions"),
                 det.numberOr("amp_factor", 1.0)));
         } else if (!regions.empty()) {
             model.setDetector(DetectorPlane(std::move(regions),

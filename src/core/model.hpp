@@ -6,7 +6,8 @@
  * plane, D diffractive (or codesign) layers each preceded by a free-space
  * hop, optional auxiliary layers (LayerNorm, optical skip), one final hop,
  * and a detector plane. It owns the trainable parameters and provides the
- * differentiable forward/backward passes the trainer drives.
+ * differentiable in-place forward/backward passes a Session drives, plus
+ * the const inference passes evaluation and serving use.
  */
 #pragma once
 
@@ -126,13 +127,12 @@ class DonnModel
     /** In-place encode into a reused buffer (resized at most once). */
     void encodeInto(const RealMap &image, Field &out) const;
 
-    /** Field at the detector plane (after the final hop). */
-    Field forwardField(const Field &input, bool training = false);
-
     /**
      * In-place forward through the stack: `u` holds the encoded input on
-     * entry and the detector-plane field on return. With a warm
-     * workspace the full pass performs zero heap allocations.
+     * entry and the detector-plane field on return. With `training` the
+     * layers cache activations for backwardFieldInPlace(); without it
+     * the call is inferFieldInPlace(). With a warm workspace the full
+     * pass performs zero heap allocations.
      */
     void forwardFieldInPlace(Field &u, bool training,
                              PropagationWorkspace &workspace);
@@ -141,7 +141,8 @@ class DonnModel
     void inferFieldInPlace(Field &u, PropagationWorkspace &workspace) const;
 
     /** In-place detector logits over forwardFieldInPlace(); `u` is left
-     *  holding the detector-plane field. */
+     *  holding the detector-plane field. Without `training` the call is
+     *  inferLogitsInPlace(). */
     std::vector<Real> forwardLogitsInPlace(Field &u, bool training,
                                            PropagationWorkspace &workspace);
 
@@ -150,7 +151,6 @@ class DonnModel
      * through the stack and reads the detector, with no mutable model
      * state touched — the serving engine's per-request path, so one
      * shared model instance serves every worker without cloning.
-     * Bitwise-identical to forwardLogitsInPlace(u, false, ws).
      */
     std::vector<Real> inferLogitsInPlace(Field &u,
                                          PropagationWorkspace &workspace)
@@ -165,13 +165,15 @@ class DonnModel
     void backwardFromLogitsInPlace(const std::vector<Real> &dlogits,
                                    Field &g, PropagationWorkspace &workspace);
 
-    /** In-place backprop from a detector-plane Wirtinger gradient. */
+    /**
+     * In-place backprop from a detector-plane Wirtinger gradient (used by
+     * segmentation losses and the multi-channel container).
+     */
     void backwardFieldInPlace(Field &g, PropagationWorkspace &workspace);
 
     /**
-     * Thread-safe inference forward: numerically identical to
-     * forwardField(input, false) but const, so independent samples can
-     * run concurrently on one shared model.
+     * Thread-safe inference returning the detector-plane field: const,
+     * so independent samples can run concurrently on one shared model.
      */
     Field inferField(const Field &input) const;
 
@@ -184,27 +186,6 @@ class DonnModel
      */
     std::vector<Field> forwardFieldBatch(const std::vector<Field> &inputs,
                                          ThreadPool *pool = nullptr) const;
-
-    /** Batched detector logits over forwardFieldBatch(). */
-    std::vector<std::vector<Real>>
-    forwardLogitsBatch(const std::vector<Field> &inputs,
-                       ThreadPool *pool = nullptr) const;
-
-    /** Detector logits; caches activations when training. */
-    std::vector<Real> forwardLogits(const Field &input,
-                                    bool training = false);
-
-    /** Argmax class for an encoded input. */
-    int predict(const Field &input);
-
-    /** Backprop from dL/dlogits through detector, final hop, and layers. */
-    void backwardFromLogits(const std::vector<Real> &dlogits);
-
-    /**
-     * Backprop from a Wirtinger gradient at the detector plane (used by
-     * segmentation losses and the multi-channel container).
-     */
-    void backwardField(const Field &grad_at_detector);
 
     /**
      * Deep copy sharing the (immutable) propagators: layers and detector
@@ -279,7 +260,7 @@ class ModelBuilder
     /**
      * Finalize into a model.
      * @throws std::logic_error when no detector was configured (the
-     *         failure used to surface only at the first forwardLogits).
+     *         failure used to surface only at the first readout).
      */
     DonnModel build();
 

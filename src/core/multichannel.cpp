@@ -30,25 +30,6 @@ MultiChannelDonn::encode(const std::array<RealMap, 3> &rgb) const
 }
 
 std::vector<Real>
-MultiChannelDonn::forwardLogits(const std::vector<Field> &inputs,
-                                bool training)
-{
-    if (inputs.size() != channels_.size())
-        throw std::invalid_argument("MultiChannelDonn: input count mismatch");
-    std::vector<Real> logits(channels_[0]->detector().numClasses(), 0.0);
-    cached_fields_.clear();
-    for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
-        Field u = channels_[ch]->forwardField(inputs[ch], training);
-        std::vector<Real> part = channels_[ch]->detector().readout(u);
-        for (std::size_t k = 0; k < logits.size(); ++k)
-            logits[k] += part[k];
-        if (training)
-            cached_fields_.push_back(std::move(u));
-    }
-    return logits;
-}
-
-std::vector<Real>
 MultiChannelDonn::trainForwardLogitsInPlace(
     const std::array<RealMap, 3> &rgb, PropagationWorkspace &workspace)
 {
@@ -96,26 +77,6 @@ MultiChannelDonn::inferLogits(const std::vector<Field> &inputs) const
             logits[k] += part[k];
     }
     return logits;
-}
-
-int
-MultiChannelDonn::predict(const std::vector<Field> &inputs)
-{
-    std::vector<Real> logits = forwardLogits(inputs, false);
-    return static_cast<int>(
-        std::max_element(logits.begin(), logits.end()) - logits.begin());
-}
-
-void
-MultiChannelDonn::backwardFromLogits(const std::vector<Real> &dlogits)
-{
-    if (cached_fields_.size() != channels_.size())
-        throw std::logic_error("MultiChannelDonn: backward before forward");
-    for (std::size_t ch = 0; ch < channels_.size(); ++ch) {
-        Field g = channels_[ch]->detector().backwardFor(cached_fields_[ch],
-                                                        dlogits);
-        channels_[ch]->backwardField(g);
-    }
 }
 
 std::vector<ParamView>

@@ -36,37 +36,26 @@ class MultiChannelDonn
     /** Encode one RGB sample into per-channel input fields. */
     std::vector<Field> encode(const std::array<RealMap, 3> &rgb) const;
 
-    /** Merged detector logits. Caches per-channel fields when training. */
-    std::vector<Real> forwardLogits(const std::vector<Field> &inputs,
-                                    bool training = false);
-
     /**
      * In-place training forward for the zero-allocation pipeline:
      * encodes each channel directly into its persistent activation
      * buffer, propagates in place, and reads the merged logits — no
-     * per-sample Field allocations in steady state. Numerically
-     * identical to encode() + forwardLogits(inputs, true).
+     * per-sample Field allocations in steady state.
      */
     std::vector<Real>
     trainForwardLogitsInPlace(const std::array<RealMap, 3> &rgb,
                               PropagationWorkspace &workspace);
 
-    /** In-place counterpart of backwardFromLogits(). */
+    /** Backprop the shared dL/dlogits of the last
+     *  trainForwardLogitsInPlace() into every channel. */
     void backwardFromLogitsInPlace(const std::vector<Real> &dlogits,
                                    PropagationWorkspace &workspace);
 
     /**
-     * Thread-safe inference logits: numerically identical to
-     * forwardLogits(inputs, false) but const and cache-free, so
+     * Thread-safe merged inference logits: const and cache-free, so
      * independent samples can be evaluated concurrently.
      */
     std::vector<Real> inferLogits(const std::vector<Field> &inputs) const;
-
-    /** Argmax class. */
-    int predict(const std::vector<Field> &inputs);
-
-    /** Backprop the shared dL/dlogits into every channel. */
-    void backwardFromLogits(const std::vector<Real> &dlogits);
 
     std::vector<ParamView> params();
     void zeroGrad();

@@ -18,25 +18,8 @@ OpticalSkipLayer::OpticalSkipLayer(std::vector<LayerPtr> inner,
         throw std::invalid_argument("OpticalSkipLayer: empty block");
 }
 
-Field
-OpticalSkipLayer::forward(const Field &in, bool training)
-{
-    Field u = in;
-    forwardInPlace(u, training, PropagationWorkspace::threadLocal());
-    return u;
-}
-
-Field
-OpticalSkipLayer::infer(const Field &in) const
-{
-    Field u = in;
-    inferInPlace(u, PropagationWorkspace::threadLocal());
-    return u;
-}
-
 void
-OpticalSkipLayer::forwardInPlace(Field &u, bool training,
-                                 PropagationWorkspace &workspace)
+OpticalSkipLayer::forwardInPlace(Field &u, PropagationWorkspace &workspace)
 {
     // The shortcut needs the block input after the branch has overwritten
     // u, so it is staged in a leased buffer held across the inner layers'
@@ -44,7 +27,7 @@ OpticalSkipLayer::forwardInPlace(Field &u, bool training,
     WorkspaceField shortcut(workspace, u.rows(), u.cols());
     std::copy(u.data(), u.data() + u.size(), shortcut->data());
     for (LayerPtr &layer : inner_)
-        layer->forwardInPlace(u, training, workspace);
+        layer->forwardInPlace(u, workspace);
     shortcut_->forwardInto(shortcut.get(), shortcut.get(), workspace);
 
     for (std::size_t i = 0; i < u.size(); ++i)
@@ -74,14 +57,6 @@ OpticalSkipLayer::clone() const
         inner.push_back(layer->clone());
     return std::make_unique<OpticalSkipLayer>(std::move(inner), shortcut_,
                                               alpha_, beta_);
-}
-
-Field
-OpticalSkipLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
 }
 
 void

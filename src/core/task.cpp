@@ -190,8 +190,9 @@ ClassificationTask::calibrate()
     Real mean_top = 0;
     model_.detector().setAmpFactor(1.0);
     for (std::size_t i = 0; i < probe; ++i) {
-        Field input = model_.encode(source_->image(i));
-        std::vector<Real> logits = model_.forwardLogits(input, false);
+        Field u = model_.encode(source_->image(i));
+        std::vector<Real> logits = model_.inferLogitsInPlace(
+            u, PropagationWorkspace::threadLocal());
         mean_top += *std::max_element(logits.begin(), logits.end());
     }
     mean_top /= static_cast<Real>(probe);
@@ -278,11 +279,13 @@ SegmentationTask::calibrate()
     source_->stageIndices(0, probe);
     Real mean_intensity = 0;
     Real mean_mask = 0;
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    Field u;
     for (std::size_t i = 0; i < probe; ++i) {
         // Training-path statistics (LayerNorm active) so the loss scale
         // matches what the optimizer will actually see.
-        Field u =
-            model_.forwardField(model_.encode(source_->image(i)), true);
+        model_.encodeInto(source_->image(i), u);
+        model_.forwardFieldInPlace(u, /*training=*/true, workspace);
         mean_intensity += u.intensity().mean();
         mean_mask += source_->mask(i).mean();
     }
@@ -329,8 +332,7 @@ SegmentationTask::evaluate()
 RealMap
 SegmentationTask::predictMask(const RealMap &image)
 {
-    Field u = model_.forwardField(model_.encode(image), false);
-    RealMap intensity = u.intensity();
+    RealMap intensity = model_.inferField(model_.encode(image)).intensity();
     // Auto-exposure: match the mean prediction brightness to the
     // expected mask brightness (LayerNorm is training-only, so the raw
     // inference intensity scale is otherwise arbitrary).
@@ -436,7 +438,7 @@ RgbTask::calibrate()
         model_.channel(ch).detector().setAmpFactor(1.0);
     for (std::size_t i = 0; i < probe; ++i) {
         std::vector<Real> logits =
-            model_.forwardLogits(model_.encode(source_->image(i)), false);
+            model_.inferLogits(model_.encode(source_->image(i)));
         mean_top += *std::max_element(logits.begin(), logits.end());
     }
     mean_top /= static_cast<Real>(probe);

@@ -425,7 +425,8 @@ DatasetManifest::fromJson(const Json &j, const std::string &origin)
         if (!j.has("format") || j.at("format").asString() != kManifestFormat)
             throw DataError(origin + ": not a " +
                             std::string(kManifestFormat) + " manifest");
-        const int version = j.has("version") ? j.at("version").asInt() : 1;
+        const std::uint64_t version =
+            j.has("version") ? j.at("version").asInteger("version", 1) : 1;
         if (version > kManifestVersion)
             throw DataError(origin + ": manifest version " +
                             std::to_string(version) +
@@ -434,27 +435,30 @@ DatasetManifest::fromJson(const Json &j, const std::string &origin)
 
         DatasetManifest manifest;
         manifest.kind = shardKindFromName(j.at("kind").asString());
-        manifest.num_classes =
-            static_cast<std::size_t>(j.numberOr("num_classes", 0));
+        if (j.has("num_classes"))
+            manifest.num_classes =
+                j.at("num_classes").asInteger("num_classes");
         const Json &image = j.at("image");
         expectManifestKeys(image, {"rows", "cols"}, origin,
                            "manifest image");
-        manifest.rows = static_cast<std::size_t>(image.at("rows").asNumber());
-        manifest.cols = static_cast<std::size_t>(image.at("cols").asNumber());
-        manifest.samples =
-            static_cast<std::size_t>(j.at("samples").asNumber());
+        manifest.rows = image.at("rows").asInteger("image.rows", 1);
+        manifest.cols = image.at("cols").asInteger("image.cols", 1);
+        manifest.samples = j.at("samples").asInteger("samples");
 
         std::size_t total = 0;
-        for (const Json &entry : j.at("shards").asArray()) {
+        const Json::Array &shards = j.at("shards").asArray();
+        for (std::size_t s = 0; s < shards.size(); ++s) {
+            const Json &entry = shards[s];
             expectManifestKeys(entry,
                                {"file", "samples", "bytes", "checksum"},
                                origin, "manifest shard entry");
+            const std::string at = "shards[" + std::to_string(s) + "].";
             ShardInfo info;
             info.file = entry.at("file").asString();
-            info.samples =
-                static_cast<std::size_t>(entry.at("samples").asNumber());
-            info.bytes =
-                static_cast<std::uint64_t>(entry.at("bytes").asNumber());
+            // Bounded so the running total below cannot wrap.
+            info.samples = entry.at("samples").asInteger(
+                at + "samples", 0, manifest.samples - total);
+            info.bytes = entry.at("bytes").asInteger(at + "bytes");
             info.checksum =
                 parseHex64(entry.at("checksum").asString(), origin);
             total += info.samples;
@@ -465,8 +469,6 @@ DatasetManifest::fromJson(const Json &j, const std::string &origin)
                             std::to_string(total) +
                             " but manifest declares " +
                             std::to_string(manifest.samples));
-        if (manifest.rows == 0 || manifest.cols == 0)
-            throw DataError(origin + ": zero image dimensions");
         return manifest;
     } catch (const JsonError &e) {
         throw DataError(origin + ": " + e.what());

@@ -15,35 +15,6 @@ FixedModulationLayer::FixedModulationLayer(
         throw std::invalid_argument("FixedModulationLayer: shape mismatch");
 }
 
-Field
-FixedModulationLayer::forward(const Field &in, bool)
-{
-    return infer(in);
-}
-
-Field
-FixedModulationLayer::infer(const Field &in) const
-{
-    Field u = in;
-    inferInPlace(u, PropagationWorkspace::threadLocal());
-    return u;
-}
-
-Field
-FixedModulationLayer::backward(const Field &grad_out)
-{
-    Field g = grad_out;
-    backwardInPlace(g, PropagationWorkspace::threadLocal());
-    return g;
-}
-
-void
-FixedModulationLayer::forwardInPlace(Field &u, bool,
-                                     PropagationWorkspace &workspace)
-{
-    inferInPlace(u, workspace);
-}
-
 void
 FixedModulationLayer::inferInPlace(Field &u,
                                    PropagationWorkspace &workspace) const
@@ -154,15 +125,14 @@ deployCodesign(const DonnModel &model, const FabricationVariation &variation,
 }
 
 Real
-evaluateDeployed(DonnModel &deployed, const ClassDataset &data,
+evaluateDeployed(const DonnModel &deployed, const ClassDataset &data,
                  const CmosDetector &cmos, Rng *rng)
 {
     if (data.size() == 0)
         return 0;
     std::size_t correct = 0;
     for (std::size_t i = 0; i < data.size(); ++i) {
-        Field u = deployed.forwardField(deployed.encode(data.images[i]),
-                                        false);
+        Field u = deployed.inferField(deployed.encode(data.images[i]));
         RealMap digitized = cmos.measure(u.intensity(), rng);
         std::vector<Real> logits =
             deployed.detector().readoutFromIntensity(digitized);
@@ -175,10 +145,10 @@ evaluateDeployed(DonnModel &deployed, const ClassDataset &data,
 }
 
 RealMap
-captureDetectorImage(DonnModel &deployed, const RealMap &image,
+captureDetectorImage(const DonnModel &deployed, const RealMap &image,
                      const CmosDetector &cmos, Rng *rng)
 {
-    Field u = deployed.forwardField(deployed.encode(image), false);
+    Field u = deployed.inferField(deployed.encode(image));
     return cmos.measure(u.intensity(), rng);
 }
 

@@ -25,7 +25,8 @@ namespace lightridge {
 /**
  * Frozen complex modulation layer used by deployed (hardware) models:
  * free-space hop followed by a fixed per-unit complex multiplication.
- * Not trainable; backward() is provided for completeness (pure adjoint).
+ * Not trainable: forwardInPlace() is inferInPlace(), and backwardInPlace()
+ * is the pure adjoint.
  */
 class FixedModulationLayer : public Layer
 {
@@ -34,11 +35,10 @@ class FixedModulationLayer : public Layer
                          Field modulation);
 
     std::string kind() const override { return "fixed"; }
-    Field forward(const Field &in, bool training) override;
-    Field backward(const Field &grad_out) override;
-    Field infer(const Field &in) const override;
-    void forwardInPlace(Field &u, bool training,
-                        PropagationWorkspace &workspace) override;
+    void forwardInPlace(Field &u, PropagationWorkspace &workspace) override
+    {
+        inferInPlace(u, workspace);
+    }
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
     void inferInPlace(Field &u,
                       PropagationWorkspace &workspace) const override;
@@ -88,14 +88,15 @@ DonnModel deployCodesign(const DonnModel &model,
  * Accuracy of a deployed model with the CMOS detector in the loop
  * (shot/read noise + ADC quantization before region integration).
  */
-Real evaluateDeployed(DonnModel &deployed, const ClassDataset &data,
+Real evaluateDeployed(const DonnModel &deployed, const ClassDataset &data,
                       const CmosDetector &cmos, Rng *rng);
 
 /**
  * Detector-plane intensity as captured by the hardware camera for one
  * input image; used for the Fig. 6 simulation-vs-measurement comparison.
  */
-RealMap captureDetectorImage(DonnModel &deployed, const RealMap &image,
+RealMap captureDetectorImage(const DonnModel &deployed,
+                             const RealMap &image,
                              const CmosDetector &cmos, Rng *rng);
 
 } // namespace lightridge

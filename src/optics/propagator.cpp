@@ -406,20 +406,4 @@ Propagator::adjointInto(const Field &grad_out, Field &out,
     convolveInto(grad_out, out, /*conjugate_kernel=*/true, workspace, hop);
 }
 
-Field
-Propagator::forward(const Field &in) const
-{
-    Field out;
-    forwardInto(in, out, PropagationWorkspace::threadLocal());
-    return out;
-}
-
-Field
-Propagator::adjoint(const Field &grad_out) const
-{
-    Field out;
-    adjointInto(grad_out, out, PropagationWorkspace::threadLocal());
-    return out;
-}
-
 } // namespace lightridge

@@ -4,9 +4,9 @@
  *
  * One Propagator models one hop of length z between planes (source->layer,
  * layer->layer, or layer->detector). Construction precomputes and caches
- * the frequency-domain kernel and FFT plans; forward() then runs the fused
- * FFT2 -> Hadamard -> iFFT2 pipeline of the paper's Eqs. 5-7 with no
- * intermediate allocations. adjoint() applies the conjugate-transposed
+ * the frequency-domain kernel and FFT plans; forwardInto() then runs the
+ * fused FFT2 -> Hadamard -> iFFT2 pipeline of the paper's Eqs. 5-7 with no
+ * intermediate allocations. adjointInto() applies the conjugate-transposed
  * operator, which is exactly what error backpropagation through a linear
  * optical element requires (Section 2.1: "fully differentiable from the
  * detector to the laser source").
@@ -50,30 +50,12 @@ class Propagator
     const PropagatorConfig &config() const { return config_; }
 
     /**
-     * Propagate a field over the hop. Input shape must match the grid.
-     *
-     * Thin wrapper over forwardInto() using the calling thread's
-     * workspace: it still allocates the returned Field, so hot loops
-     * (per-sample training, batched inference) should prefer
-     * forwardInto() with a reused output buffer. Bitwise-identical to
-     * the in-place path.
-     */
-    Field forward(const Field &in) const;
-
-    /**
-     * Apply the conjugate transpose of forward() to a Wirtinger gradient
-     * field. For unit-modulus kernels this equals propagation backward
-     * over -z. Same deprecation status for hot loops as forward():
-     * prefer adjointInto().
-     */
-    Field adjoint(const Field &grad_out) const;
-
-    /**
-     * Propagate `in` over the hop into `out`, running the full
-     * pad -> FFT2 -> Hadamard -> iFFT2 -> crop pipeline with zero heap
-     * allocations in steady state: padded scratch is leased from the
-     * workspace and `out` is resized at most once. `out` may alias `in`
-     * (the layer pipeline propagates fields fully in place).
+     * Propagate `in` over the hop into `out` (input shape must match the
+     * grid), running the full pad -> FFT2 -> Hadamard -> iFFT2 -> crop
+     * pipeline with zero heap allocations in steady state: padded
+     * scratch is leased from the workspace and `out` is resized at most
+     * once. `out` may alias `in` (the layer pipeline propagates fields
+     * fully in place).
      *
      * `hop` optionally applies one sampled misalignment realization
      * (see optics/perturbation.hpp): a non-null perturbed kernel
@@ -87,9 +69,11 @@ class Propagator
                      const HopPerturbation *hop = nullptr) const;
 
     /**
-     * Adjoint counterpart of forwardInto(); `out` may alias the input.
-     * With a perturbation, applies the exact adjoint of the perturbed
-     * operator (conjugate kernel and conjugate shift ramps).
+     * Apply the conjugate transpose of forwardInto() to a Wirtinger
+     * gradient field; `out` may alias the input. For unit-modulus
+     * kernels this equals propagation backward over -z. With a
+     * perturbation, applies the exact adjoint of the perturbed operator
+     * (conjugate kernel and conjugate shift ramps).
      */
     void adjointInto(const Field &grad_out, Field &out,
                      PropagationWorkspace &workspace,

@@ -2,10 +2,10 @@
  * @file
  * Reusable complex-buffer arena for allocation-free propagation.
  *
- * Every Propagator::forward/adjoint call used to allocate 2-3 fresh Field
- * buffers (pad copy, crop copy, return value); over a K-layer training
- * step the allocation plus memcpy traffic rivals the FFT arithmetic the
- * paper's Fig. 9 measures. A PropagationWorkspace is a per-thread arena
+ * A by-value propagation hop allocates 2-3 fresh Field buffers (pad
+ * copy, crop copy, return value); over a K-layer training step the
+ * allocation plus memcpy traffic rivals the FFT arithmetic the paper's
+ * Fig. 9 measures. A PropagationWorkspace is a per-thread arena
  * of padded/cropped complex buffers, sized once per (rows, cols) shape and
  * reused across calls: the in-place `forwardInto`/`adjointInto` entry
  * points and the layer/model `*InPlace` pipeline run with zero heap
@@ -92,10 +92,9 @@ class PropagationWorkspace
     void clear();
 
     /**
-     * The calling thread's workspace. This is what the by-value
-     * Propagator/Layer/DonnModel wrappers use, so even legacy call sites
-     * stop churning internal scratch; thread-pool workers each get their
-     * own arena automatically.
+     * The calling thread's workspace. Training steps, serving workers and
+     * the stateless inference helpers (DonnModel::inferField) lease from
+     * it; thread-pool workers each get their own arena automatically.
      */
     static PropagationWorkspace &threadLocal();
 

@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -481,6 +482,42 @@ TEST(ShardValidation, ManifestRejectsUnknownKeysAndWrongFormat)
     ASSERT_TRUE(wrong.save(path));
     expectDataError([&] { DatasetManifest::load(path); },
                     "lightridge-dataset");
+}
+
+TEST(ShardValidation, ManifestRejectsNonIntegerCounts)
+{
+    // A negative, fractional or huge count must not reach a size_t cast
+    // (-1 wraps, 28.5 truncates to a valid 28, 1e300 is undefined).
+    TempDir dir;
+    ClassDataset raw = makeSynthDigits(8, 4);
+    DatasetManifest manifest = writeShards(raw, dir.sub("d"));
+    const std::string path = dir.sub("d") + "/manifest.json";
+    ASSERT_TRUE(manifest.toJson().save(path));
+    EXPECT_NO_THROW(DatasetManifest::load(path));
+
+    for (double rows : {-1.0, 28.5, 1e300}) {
+        Json j = manifest.toJson();
+        j["image"]["rows"] = Json(rows);
+        ASSERT_TRUE(j.save(path));
+        expectDataError([&] { DatasetManifest::load(path); }, "image.rows");
+    }
+    const std::vector<std::pair<std::string, std::function<void(Json &)>>>
+        edits = {
+            {"version", [](Json &j) { j["version"] = Json(0.5); }},
+            {"num_classes", [](Json &j) { j["num_classes"] = Json(-1); }},
+            {"image.cols", [](Json &j) { j["image"]["cols"] = Json(0); }},
+            {"samples", [](Json &j) { j["samples"] = Json(8.5); }},
+            {"shards[0].samples",
+             [](Json &j) { j["shards"].asArray()[0]["samples"] = Json(9); }},
+            {"shards[0].bytes",
+             [](Json &j) { j["shards"].asArray()[0]["bytes"] = Json(1e300); }},
+        };
+    for (const auto &[field, edit] : edits) {
+        Json j = manifest.toJson();
+        edit(j);
+        ASSERT_TRUE(j.save(path));
+        expectDataError([&] { DatasetManifest::load(path); }, field);
+    }
 }
 
 // --------------------------------------------------------------------------

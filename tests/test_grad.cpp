@@ -63,6 +63,19 @@ checkParamGradient(std::vector<Real> *value, const std::vector<Real> &grad,
     }
 }
 
+/**
+ * One training forward, softmax-MSE loss and backward through the
+ * in-place passes; parameter gradients accumulate.
+ */
+void
+trainStep(DonnModel &model, Field u, int label)
+{
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    std::vector<Real> logits = model.forwardLogitsInPlace(u, true, workspace);
+    LossResult lr = softmaxMseLoss(logits, label);
+    model.backwardFromLogitsInPlace(lr.dlogits, u, workspace);
+}
+
 /** Build, run forward+loss+backward once, return the loss closure. */
 struct ModelHarness
 {
@@ -73,8 +86,9 @@ struct ModelHarness
     Real
     loss()
     {
-        Field input = model.encode(image);
-        std::vector<Real> logits = model.forwardLogits(input, false);
+        Field u = model.encode(image);
+        std::vector<Real> logits =
+            model.inferLogitsInPlace(u, PropagationWorkspace::threadLocal());
         return softmaxMseLoss(logits, label).value;
     }
 
@@ -82,10 +96,7 @@ struct ModelHarness
     backwardOnce()
     {
         model.zeroGrad();
-        Field input = model.encode(image);
-        std::vector<Real> logits = model.forwardLogits(input, true);
-        LossResult lr = softmaxMseLoss(logits, label);
-        model.backwardFromLogits(lr.dlogits);
+        trainStep(model, model.encode(image), label);
     }
 };
 
@@ -161,18 +172,17 @@ TEST(Gradients, CodesignLayerLogits)
     for (Real &v : *params[0].value)
         v = lrng.uniform(-0.5, 0.5);
 
-    // Codesign deploy path (training=false) uses argmax, which is not
-    // differentiable; evaluate the loss with the soft path instead.
+    // Codesign inference uses the argmax state, which is not
+    // differentiable; evaluate the loss with the soft training path
+    // instead.
     auto soft_loss = [&]() -> Real {
-        Field input = h.model.encode(h.image);
-        std::vector<Real> logits = h.model.forwardLogits(input, true);
+        Field u = h.model.encode(h.image);
+        std::vector<Real> logits = h.model.forwardLogitsInPlace(
+            u, true, PropagationWorkspace::threadLocal());
         return softmaxMseLoss(logits, h.label).value;
     };
     h.model.zeroGrad();
-    Field input = h.model.encode(h.image);
-    std::vector<Real> logits = h.model.forwardLogits(input, true);
-    LossResult lr = softmaxMseLoss(logits, h.label);
-    h.model.backwardFromLogits(lr.dlogits);
+    trainStep(h.model, h.model.encode(h.image), h.label);
 
     checkParamGradient(params[0].value, *params[0].grad, soft_loss,
                        {0, 7, 100, 500, 863});
@@ -196,21 +206,24 @@ TEST_P(LayerNormModeTest, BackwardMatchesFiniteDifference)
     for (std::size_t i = 0; i < w.size(); ++i)
         w[i] = rng.uniform(0, 1);
 
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
     LayerNormLayer layer(1e-12, subtract_mean);
     auto loss_of = [&](const Field &in) -> Real {
         LayerNormLayer probe(1e-12, subtract_mean);
-        Field y = probe.forward(in, true);
+        Field y = in;
+        probe.forwardInPlace(y, workspace);
         Real total = 0;
         for (std::size_t i = 0; i < y.size(); ++i)
             total += w[i] * std::norm(y[i]);
         return total;
     };
 
-    Field y = layer.forward(x, true);
-    Field gy(n, n);
-    for (std::size_t i = 0; i < gy.size(); ++i)
-        gy[i] = Real(2) * w[i] * y[i]; // dL/dY for L = sum w |y|^2
-    Field gx = layer.backward(gy);
+    Field y = x;
+    layer.forwardInPlace(y, workspace);
+    Field gx(n, n);
+    for (std::size_t i = 0; i < gx.size(); ++i)
+        gx[i] = Real(2) * w[i] * y[i]; // dL/dY for L = sum w |y|^2
+    layer.backwardInPlace(gx, workspace);
 
     // Finite differences on the real and imaginary parts of entries.
     const Real eps = 1e-6;
@@ -236,13 +249,17 @@ INSTANTIATE_TEST_SUITE_P(BothModes, LayerNormModeTest,
 
 TEST(Gradients, LayerNormIsIdentityAtInference)
 {
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
     LayerNormLayer layer;
     Field x(4, 4, Complex{2, -1});
-    Field y = layer.forward(x, false);
+    Field y = x;
+    layer.inferInPlace(y, workspace);
     EXPECT_EQ(maxAbsDiff(x, y), 0.0);
-    // backward after inference forward passes gradient through unchanged
+    // Inference caches nothing, so a backward after it passes the
+    // gradient through unchanged.
     Field g(4, 4, Complex{0.5, 0.5});
-    Field gx = layer.backward(g);
+    Field gx = g;
+    layer.backwardInPlace(gx, workspace);
     EXPECT_EQ(maxAbsDiff(g, gx), 0.0);
 }
 
@@ -291,15 +308,18 @@ TEST(Gradients, SegmentationIntensityLoss)
     for (std::size_t i = 0; i < mask.size(); ++i)
         mask[i] = mrng.bernoulli(0.5) ? 1.0 : 0.0;
 
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
     auto loss_fn = [&]() -> Real {
-        Field u = model.forwardField(model.encode(image), true);
-        return intensityMseLoss(u, mask, 3.0).value;
+        Field u = model.encode(image);
+        model.forwardFieldInPlace(u, true, workspace);
+        return intensityMseLossInPlace(u, mask, 3.0);
     };
 
     model.zeroGrad();
-    Field u = model.forwardField(model.encode(image), true);
-    FieldLossResult fl = intensityMseLoss(u, mask, 3.0);
-    model.backwardField(fl.grad);
+    Field u = model.encode(image);
+    model.forwardFieldInPlace(u, true, workspace);
+    intensityMseLossInPlace(u, mask, 3.0);
+    model.backwardFieldInPlace(u, workspace);
 
     auto params = model.params();
     for (auto &p : params)
@@ -327,15 +347,15 @@ TEST(Gradients, MultiChannelShared)
     const int label = 2;
 
     auto loss_fn = [&]() -> Real {
-        std::vector<Real> logits =
-            model.forwardLogits(model.encode(rgb), false);
+        std::vector<Real> logits = model.inferLogits(model.encode(rgb));
         return softmaxMseLoss(logits, label).value;
     };
 
     model.zeroGrad();
-    std::vector<Real> logits = model.forwardLogits(model.encode(rgb), true);
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    std::vector<Real> logits = model.trainForwardLogitsInPlace(rgb, workspace);
     LossResult lr = softmaxMseLoss(logits, label);
-    model.backwardFromLogits(lr.dlogits);
+    model.backwardFromLogitsInPlace(lr.dlogits, workspace);
 
     auto params = model.params();
     ASSERT_EQ(params.size(), 3u);

@@ -13,6 +13,7 @@
 #include "hardware/deploy.hpp"
 #include "hardware/energy.hpp"
 #include "hardware/to_system.hpp"
+#include "support/hop.hpp"
 
 namespace lightridge {
 namespace {
@@ -186,10 +187,10 @@ TEST(Deploy, CodesignDeploymentIsExact)
     DonnModel hw =
         deployCodesign(model, FabricationVariation::none(), nullptr);
     // Deployment of codesign weights with no fabrication error must match
-    // the model's own inference path (training=false) exactly.
+    // the model's own inference path exactly.
     Field input = model.encode(fx.test.images[0]);
-    Field sim = model.forwardField(input, false);
-    Field dep = hw.forwardField(input, false);
+    Field sim = model.inferField(input);
+    Field dep = hw.inferField(input);
     EXPECT_LT(maxAbsDiff(sim, dep), 1e-9);
 }
 
@@ -285,8 +286,10 @@ TEST(FixedModulation, AdjointConsistency)
         x[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
         y[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
     }
-    Field fx = layer.forward(x, false);
-    Field aty = layer.backward(y);
+    Field fx = x;
+    layer.forwardInPlace(fx, PropagationWorkspace::threadLocal());
+    Field aty = y;
+    layer.backwardInPlace(aty, PropagationWorkspace::threadLocal());
     Complex lhs{0, 0}, rhs{0, 0};
     for (std::size_t i = 0; i < x.size(); ++i) {
         lhs += std::conj(fx[i]) * y[i];
@@ -295,11 +298,12 @@ TEST(FixedModulation, AdjointConsistency)
     EXPECT_NEAR(std::abs(lhs - rhs), 0.0, 1e-9);
 }
 
-TEST(FixedModulation, InPlacePathsMatchByValuePathsBitwise)
+TEST(FixedModulation, InPlacePathsMatchReferenceBitwise)
 {
-    // The in-place overrides must be pure aliases of the by-value math:
-    // deployed models run through the zero-allocation serving path, and
-    // any drift here would silently change hardware-simulation results.
+    // The in-place passes must equal an independent hop-then-modulate
+    // reference bit for bit: deployed models run through the
+    // zero-allocation serving path, and any drift here would silently
+    // change hardware-simulation results.
     PropagatorConfig cfg;
     cfg.grid = Grid{16, 36e-6};
     cfg.wavelength = 532e-9;
@@ -310,51 +314,37 @@ TEST(FixedModulation, InPlacePathsMatchByValuePathsBitwise)
     for (std::size_t i = 0; i < mod.size(); ++i)
         mod[i] = std::polar(rng.uniform(0.5, 1.0), rng.uniform(0, kTwoPi));
     FixedModulationLayer layer(prop, mod);
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
 
     Field x(16, 16);
     for (std::size_t i = 0; i < x.size(); ++i)
         x[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
 
-    // infer() (by-value reference math) vs inferInPlace on an alias.
-    Field reference(16, 16);
-    {
-        Field tmp = prop->forward(x);
-        tmp.hadamard(mod);
-        reference = tmp;
-    }
-    Field in_place = x;
-    layer.inferInPlace(in_place, PropagationWorkspace::threadLocal());
-    ASSERT_EQ(in_place.size(), reference.size());
-    for (std::size_t i = 0; i < reference.size(); ++i)
-        EXPECT_EQ(in_place[i], reference[i]);
+    Field reference = hopForward(*prop, x);
+    reference.hadamard(mod);
 
-    Field via_infer = layer.infer(x);
+    Field via_infer = x;
+    layer.inferInPlace(via_infer, workspace);
+    ASSERT_EQ(via_infer.size(), reference.size());
     for (std::size_t i = 0; i < reference.size(); ++i)
         EXPECT_EQ(via_infer[i], reference[i]);
 
-    Field via_forward =
-        layer.forward(x, /*training=*/true); // frozen layer: same path
+    Field via_forward = x;
+    layer.forwardInPlace(via_forward, workspace); // frozen: same path
     for (std::size_t i = 0; i < reference.size(); ++i)
         EXPECT_EQ(via_forward[i], reference[i]);
 
-    // backward() vs backwardInPlace on an alias.
+    // Backward: conjugate modulation, then the adjoint hop.
     Field g(16, 16);
     for (std::size_t i = 0; i < g.size(); ++i)
         g[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
-    Field grad_reference(16, 16);
-    {
-        Field tmp = g;
-        tmp.hadamardConj(mod);
-        grad_reference = prop->adjoint(tmp);
-    }
+    Field conj_modulated = g;
+    conj_modulated.hadamardConj(mod);
+    Field grad_reference = hopAdjoint(*prop, conj_modulated);
     Field grad_in_place = g;
-    layer.backwardInPlace(grad_in_place, PropagationWorkspace::threadLocal());
+    layer.backwardInPlace(grad_in_place, workspace);
     for (std::size_t i = 0; i < grad_reference.size(); ++i)
         EXPECT_EQ(grad_in_place[i], grad_reference[i]);
-
-    Field via_backward = layer.backward(g);
-    for (std::size_t i = 0; i < grad_reference.size(); ++i)
-        EXPECT_EQ(via_backward[i], grad_reference[i]);
 }
 
 } // namespace

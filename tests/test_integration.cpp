@@ -94,8 +94,9 @@ TEST(Integration, TrainingIsSeedDeterministic)
         tc.seed = 42;
         ClassificationTask task(model, train);
         Session(task, tc).fit();
-        Field input = model.encode(train.images[0]);
-        return model.forwardLogits(input, false);
+        Field u = model.encode(train.images[0]);
+        return model.inferLogitsInPlace(u,
+                                        PropagationWorkspace::threadLocal());
     };
     std::vector<Real> a = run();
     std::vector<Real> b = run();

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 
 #include "core/layer_norm.hpp"
 #include "core/model.hpp"
@@ -63,7 +64,7 @@ TEST(ModelBuilder, BuildsRequestedStack)
 TEST(ModelBuilder, BuildWithoutDetectorThrows)
 {
     // The detector-less failure used to surface only at the first
-    // forwardLogits call; build() now fails fast instead.
+    // readout; build() now fails fast instead.
     Rng rng(1);
     ModelBuilder builder(smallSpec(), Laser{});
     builder.diffractiveLayers(2, 1.0, &rng);
@@ -107,10 +108,12 @@ TEST(DonnModel, SerializationPreservesPredictions)
 
     EXPECT_EQ(loaded.depth(), 2u);
     EXPECT_DOUBLE_EQ(loaded.detector().ampFactor(), 7.5);
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
     for (std::size_t i = 0; i < data.size(); ++i) {
-        Field input = model.encode(data.images[i]);
-        std::vector<Real> a = model.forwardLogits(input, false);
-        std::vector<Real> b = loaded.forwardLogits(input, false);
+        Field ua = model.encode(data.images[i]);
+        Field ub = ua;
+        std::vector<Real> a = model.inferLogitsInPlace(ua, workspace);
+        std::vector<Real> b = loaded.inferLogitsInPlace(ub, workspace);
         for (std::size_t k = 0; k < a.size(); ++k)
             EXPECT_NEAR(a[k], b[k], 1e-9 * std::max<Real>(1.0, a[k]));
     }
@@ -165,31 +168,85 @@ TEST(DonnModel, SkipSerializationRoundTrip)
 
     RealMap img(16, 16, 0.3);
     Field input = model.encode(img);
-    Field a = model.forwardField(input, false);
-    Field b = loaded.forwardField(input, false);
+    Field a = model.inferField(input);
+    Field b = loaded.inferField(input);
     EXPECT_LT(maxAbsDiff(a, b), 1e-9);
-}
-
-TEST(DonnModel, PredictsArgmaxClass)
-{
-    Rng rng(13);
-    DonnModel model = ModelBuilder(smallSpec(), Laser{})
-                          .diffractiveLayers(1, 1.0, &rng)
-                          .detectorGrid(4, 3)
-                          .build();
-    RealMap img(16, 16, 0.5);
-    Field input = model.encode(img);
-    std::vector<Real> logits = model.forwardLogits(input, false);
-    int pred = model.predict(input);
-    EXPECT_EQ(logits[pred],
-              *std::max_element(logits.begin(), logits.end()));
 }
 
 TEST(DonnModel, MissingDetectorThrows)
 {
     DonnModel model(smallSpec(), Laser{});
-    Field input(16, 16, Complex{1, 0});
-    EXPECT_THROW(model.forwardLogits(input, false), std::logic_error);
+    Field u(16, 16, Complex{1, 0});
+    EXPECT_THROW(
+        model.inferLogitsInPlace(u, PropagationWorkspace::threadLocal()),
+        std::logic_error);
+}
+
+/**
+ * Checkpoints are outside input: an edited size, enum, detector region or
+ * LUT entry must fail to load with a JsonError naming the field, since
+ * each would otherwise index past a buffer or select a nonexistent enum
+ * value when the model serves.
+ */
+TEST(DonnModel, CraftedCheckpointFieldsThrowJsonError)
+{
+    DonnModel model = ModelBuilder(smallSpec(), Laser{})
+                          .codesignLayers(1, DeviceLut::idealPhase(4))
+                          .detectorGrid(2, 3)
+                          .build();
+    auto layout = DetectorPlane::differentialGridLayout(16, 2, 3);
+    model.setDetector(DetectorPlane(layout.first, layout.second));
+    Json good = model.toJson();
+    addCheckpointHeader(good);
+
+    // The unedited document still round-trips.
+    verifyCheckpointHeader(good, "good");
+    EXPECT_EQ(DonnModel::fromJson(good).toJson().dump(),
+              model.toJson().dump());
+
+    auto region = [](Json &j, const char *list) -> Json & {
+        return j["detector"][list].asArray()[0];
+    };
+    const std::vector<std::pair<std::string, std::function<void(Json &)>>>
+        edits = {
+            {"spec.size", [](Json &j) { j["spec"]["size"] = Json(-1); }},
+            {"spec.size", [](Json &j) { j["spec"]["size"] = Json(16.5); }},
+            {"spec.pad_factor",
+             [](Json &j) { j["spec"]["pad_factor"] = Json(0); }},
+            {"spec.approx", [](Json &j) { j["spec"]["approx"] = Json(3); }},
+            {"spec.method", [](Json &j) { j["spec"]["method"] = Json(9); }},
+            {"laser.profile",
+             [](Json &j) { j["laser"]["profile"] = Json(-1); }},
+            {"detector.regions[0].r0",
+             [&](Json &j) { region(j, "regions")["r0"] = Json(100000); }},
+            {"detector.regions[0].c0",
+             [&](Json &j) { region(j, "regions")["c0"] = Json(1.5); }},
+            {"detector.regions[0].h",
+             [&](Json &j) { region(j, "regions")["h"] = Json(1e6); }},
+            {"detector.regions[0].w",
+             [&](Json &j) { region(j, "regions")["w"] = Json(0); }},
+            {"detector.neg_regions[0].h",
+             [&](Json &j) { region(j, "neg_regions")["h"] = Json(16); }},
+            {"lut", [](Json &j) {
+                 j["layers"].asArray()[0]["lut"].asArray()[0] =
+                     Json(Json::Array{});
+             }},
+        };
+    for (const auto &[field, edit] : edits) {
+        Json j = good;
+        edit(j);
+        try {
+            DonnModel::fromJson(j);
+            ADD_FAILURE() << "edit of " << field << " loaded";
+        } catch (const JsonError &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    }
+
+    Json bad_version = good;
+    bad_version["version"] = Json(1e300);
+    EXPECT_THROW(verifyCheckpointHeader(bad_version, "crafted"), JsonError);
 }
 
 TEST(MultiChannel, RequiresMatchingDetectors)
@@ -226,11 +283,11 @@ TEST(MultiChannel, LogitsAreChannelSums)
     std::array<RealMap, 3> rgb{RealMap(16, 16, 0.4), RealMap(16, 16, 0.2),
                                RealMap(16, 16, 0.7)};
     std::vector<Field> inputs = model.encode(rgb);
-    std::vector<Real> merged = model.forwardLogits(inputs, false);
+    std::vector<Real> merged = model.inferLogits(inputs);
 
     std::vector<Real> expected(4, 0.0);
     for (int ch = 0; ch < 3; ++ch) {
-        Field u = raw[ch]->forwardField(inputs[ch], false);
+        Field u = raw[ch]->inferField(inputs[ch]);
         std::vector<Real> part = raw[ch]->detector().readout(u);
         for (std::size_t k = 0; k < 4; ++k)
             expected[k] += part[k];
@@ -278,7 +335,8 @@ TEST(DifferentialDetector, BackwardMatchesFiniteDifference)
         u[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
 
     const std::vector<Real> dlogits{0.8, -1.3};
-    Field grad = det.backwardFor(u, dlogits);
+    Field grad;
+    det.backwardForInto(u, dlogits, grad);
 
     // Wirtinger convention: dL/d re(u) = Re(G), dL/d im(u) = Im(G),
     // with L = sum_k dlogits[k] * logit_k.

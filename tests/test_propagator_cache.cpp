@@ -13,9 +13,11 @@
 #include <stdexcept>
 
 #include "core/diffractive_layer.hpp"
+#include "core/layer_norm.hpp"
 #include "core/model.hpp"
 #include "fft/fft.hpp"
 #include "optics/propagator.hpp"
+#include "support/hop.hpp"
 #include "utils/rng.hpp"
 #include "utils/thread_pool.hpp"
 #include "utils/timer.hpp"
@@ -95,15 +97,15 @@ TEST(TransferFunctionCache, CachedForwardBitwiseMatchesUncachedPath)
     // kernel from scratch.
     clearTransferFunctionCache();
     clearFftPlanCache();
-    Field reference = Propagator(config).forward(input);
+    Field reference = hopForward(Propagator(config), input);
 
     // Cached path: a second propagator takes the kernel and plans from
     // the warm caches.
     Propagator warm(config);
     EXPECT_GT(transferFunctionCacheStats().hits, 0u);
-    EXPECT_TRUE(bitwiseEqual(warm.forward(input), reference));
-    EXPECT_TRUE(bitwiseEqual(warm.adjoint(input),
-                             Propagator(config).adjoint(input)));
+    EXPECT_TRUE(bitwiseEqual(hopForward(warm, input), reference));
+    EXPECT_TRUE(bitwiseEqual(hopAdjoint(warm, input),
+                             hopAdjoint(Propagator(config), input)));
 }
 
 /**
@@ -291,6 +293,9 @@ TEST(BatchedForward, MatchesSerialInferenceBitwise)
 
 TEST(BatchedForward, InferFieldMatchesForwardField)
 {
+    // forwardFieldInPlace / forwardLogitsInPlace with training = false
+    // must be the inference path. The LayerNorm makes a slip visible:
+    // its training forward normalizes, its inference is the identity.
     const std::size_t n = 32;
     SystemSpec spec;
     spec.size = n;
@@ -300,9 +305,20 @@ TEST(BatchedForward, InferFieldMatchesForwardField)
     DonnModel model(spec, Laser{});
     model.addLayer(std::make_unique<DiffractiveLayer>(model.hopPropagator(),
                                                       1.0, &rng));
-    Field input = randomField(n, 33);
-    EXPECT_TRUE(bitwiseEqual(model.inferField(input),
-                             model.forwardField(input, false)));
+    model.addLayer(std::make_unique<LayerNormLayer>());
+    model.setDetector(DetectorPlane(DetectorPlane::gridLayout(n, 4, 4)));
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    const Field input = randomField(n, 33);
+
+    Field u = input;
+    model.forwardFieldInPlace(u, false, workspace);
+    EXPECT_TRUE(bitwiseEqual(u, model.inferField(input)));
+
+    Field v = input;
+    Field w = input;
+    EXPECT_EQ(model.forwardLogitsInPlace(v, false, workspace),
+              model.inferLogitsInPlace(w, workspace));
+    EXPECT_TRUE(bitwiseEqual(v, w));
 }
 
 } // namespace

@@ -91,8 +91,9 @@ struct ModelHarness
     Real
     loss()
     {
-        Field input = model.encode(image);
-        std::vector<Real> logits = model.forwardLogits(input, false);
+        Field u = model.encode(image);
+        std::vector<Real> logits =
+            model.inferLogitsInPlace(u, PropagationWorkspace::threadLocal());
         return softmaxMseLoss(logits, label).value;
     }
 
@@ -100,10 +101,12 @@ struct ModelHarness
     backwardOnce()
     {
         model.zeroGrad();
-        Field input = model.encode(image);
-        std::vector<Real> logits = model.forwardLogits(input, true);
+        PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+        Field u = model.encode(image);
+        std::vector<Real> logits =
+            model.forwardLogitsInPlace(u, true, workspace);
         LossResult lr = softmaxMseLoss(logits, label);
-        model.backwardFromLogits(lr.dlogits);
+        model.backwardFromLogitsInPlace(lr.dlogits, u, workspace);
     }
 };
 
@@ -246,8 +249,10 @@ TEST(Perturbation, TrainingAndInferenceForwardAgree)
         makeRealization(model, 0.3 * 36e-6, 0.0, 0.001, 0.25, 3);
     model.setPerturbation(&r);
     Field input = model.encode(randomImage(12, 5));
-    Field train_out = model.forwardField(input, true);
-    Field infer_out = model.forwardField(input, false);
+    Field train_out = input;
+    model.forwardFieldInPlace(train_out, true,
+                              PropagationWorkspace::threadLocal());
+    Field infer_out = model.inferField(input);
     model.setPerturbation(nullptr);
     EXPECT_LT(maxAbsDiff(train_out, infer_out), 1e-12);
 }

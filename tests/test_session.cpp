@@ -95,10 +95,12 @@ legacySegLosses(DonnModel &model, const SegDataset &train,
 
     Real intensity_scale = 1.0;
     Real mask_mean = 0.25;
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
     std::size_t probe = std::min<std::size_t>(8, train.size());
     Real mean_intensity = 0, mean_mask = 0;
     for (std::size_t i = 0; i < probe; ++i) {
-        Field u = model.forwardField(model.encode(train.images[i]), true);
+        Field u = model.encode(train.images[i]);
+        model.forwardFieldInPlace(u, true, workspace);
         mean_intensity += u.intensity().mean();
         mean_mask += train.masks[i].mean();
     }
@@ -117,16 +119,15 @@ legacySegLosses(DonnModel &model, const SegDataset &train,
         std::size_t in_batch = 0;
         model.zeroGrad();
         for (std::size_t idx : order) {
-            Field u = model.forwardField(model.encode(train.images[idx]),
-                                         true);
+            Field u = model.encode(train.images[idx]);
+            model.forwardFieldInPlace(u, true, workspace);
             RealMap target = (train.masks[idx].rows() == grid.n)
                                  ? train.masks[idx]
                                  : resizeBilinear(train.masks[idx], grid.n,
                                                   grid.n);
-            FieldLossResult loss =
-                intensityMseLoss(u, target, intensity_scale);
-            loss_sum += loss.value;
-            model.backwardField(loss.grad);
+            // Overwrites u with the loss gradient at the detector plane.
+            loss_sum += intensityMseLossInPlace(u, target, intensity_scale);
+            model.backwardFieldInPlace(u, workspace);
             if (++in_batch == cfg.batch) {
                 optimizer.step();
                 model.zeroGrad();
@@ -161,7 +162,7 @@ legacyRgbLosses(MultiChannelDonn &model, const RgbDataset &train,
         model.channel(ch).detector().setAmpFactor(1.0);
     for (std::size_t i = 0; i < probe; ++i) {
         std::vector<Real> logits =
-            model.forwardLogits(model.encode(train.images[i]), false);
+            model.inferLogits(model.encode(train.images[i]));
         mean_top += *std::max_element(logits.begin(), logits.end());
     }
     mean_top /= static_cast<Real>(probe);
@@ -170,6 +171,11 @@ legacyRgbLosses(MultiChannelDonn &model, const RgbDataset &train,
             model.channel(ch).detector().setAmpFactor(cfg.calib_target /
                                                       mean_top);
 
+    // Per channel: stack forward, readout merged on the shared detector,
+    // and the shared dL/dlogits unwound through each channel's detector.
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    const std::size_t classes = model.channel(0).detector().numClasses();
+    Field g;
     std::vector<Real> losses;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         std::vector<std::size_t> order = refOrder(train.size(), &rng);
@@ -177,12 +183,25 @@ legacyRgbLosses(MultiChannelDonn &model, const RgbDataset &train,
         std::size_t in_batch = 0;
         model.zeroGrad();
         for (std::size_t idx : order) {
-            std::vector<Real> logits =
-                model.forwardLogits(model.encode(train.images[idx]), true);
+            std::vector<Field> fields = model.encode(train.images[idx]);
+            std::vector<Real> logits(classes, 0.0);
+            for (std::size_t ch = 0; ch < model.numChannels(); ++ch) {
+                DonnModel &channel = model.channel(ch);
+                channel.forwardFieldInPlace(fields[ch], true, workspace);
+                std::vector<Real> part =
+                    channel.detector().readout(fields[ch]);
+                for (std::size_t k = 0; k < classes; ++k)
+                    logits[k] += part[k];
+            }
             LossResult loss =
                 classificationLoss(cfg.loss, logits, train.labels[idx]);
             loss_sum += loss.value;
-            model.backwardFromLogits(loss.dlogits);
+            for (std::size_t ch = 0; ch < model.numChannels(); ++ch) {
+                DonnModel &channel = model.channel(ch);
+                channel.detector().backwardForInto(fields[ch], loss.dlogits,
+                                                   g);
+                channel.backwardFieldInPlace(g, workspace);
+            }
             if (++in_batch == cfg.batch) {
                 optimizer.step();
                 model.zeroGrad();
@@ -397,6 +416,7 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
     Rng rng(cfg.seed);
     std::vector<ParamView> main_params = model.params();
 
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
     std::vector<Real> losses;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         std::vector<std::size_t> order = refOrder(train.size(), &rng);
@@ -413,13 +433,14 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
             for (std::size_t r = 0; r < active; ++r) {
                 for (std::size_t j = r; j < batch; j += active) {
                     std::size_t idx = order[start + j];
-                    Field input = replicas[r].encode(train.images[idx]);
+                    Field u = replicas[r].encode(train.images[idx]);
                     std::vector<Real> logits =
-                        replicas[r].forwardLogits(input, true);
+                        replicas[r].forwardLogitsInPlace(u, true, workspace);
                     LossResult loss = classificationLoss(
                         cfg.loss, logits, train.labels[idx]);
                     part[r] += loss.value;
-                    replicas[r].backwardFromLogits(loss.dlogits);
+                    replicas[r].backwardFromLogitsInPlace(loss.dlogits, u,
+                                                          workspace);
                 }
             }
             for (std::size_t r = 0; r < active; ++r) {

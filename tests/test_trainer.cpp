@@ -42,8 +42,9 @@ TEST(SessionBehaviour, CalibrationSetsHealthyLogitScale)
     // Mean top logit over probe samples lands near the target.
     Real mean_top = 0;
     for (std::size_t i = 0; i < 16; ++i) {
-        Field input = model.encode(data.images[i]);
-        std::vector<Real> logits = model.forwardLogits(input, false);
+        Field u = model.encode(data.images[i]);
+        std::vector<Real> logits =
+            model.inferLogitsInPlace(u, PropagationWorkspace::threadLocal());
         mean_top += *std::max_element(logits.begin(), logits.end());
     }
     mean_top /= 16;

@@ -1,22 +1,19 @@
 /**
  * @file
- * Propagation workspace engine: the in-place forwardInto/adjointInto and
- * layer/model *InPlace paths must be bitwise-identical to the by-value
- * wrappers (which are themselves pinned against the pre-workspace
- * behaviour by the numerics suites), the arena must reuse buffers across
- * calls, and — in LIGHTRIDGE_ALLOC_STATS builds — steady-state in-place
- * propagation and full train steps must perform zero Field allocations.
+ * Propagation workspace engine: forwardInto/adjointInto must give the
+ * same bits whether or not the output aliases the input, the arena must
+ * reuse buffers across calls, and — in LIGHTRIDGE_ALLOC_STATS builds —
+ * steady-state in-place propagation and full train steps must perform
+ * zero Field allocations.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
 
-#include "core/codesign_layer.hpp"
 #include "core/diffractive_layer.hpp"
 #include "core/layer_norm.hpp"
 #include "core/multichannel.hpp"
 #include "core/session.hpp"
-#include "core/skip.hpp"
 #include "data/synth_city.hpp"
 #include "data/synth_digits.hpp"
 #include "data/synth_scenes.hpp"
@@ -48,17 +45,6 @@ bitwiseEqual(const Field &a, const Field &b)
     return true;
 }
 
-bool
-bitwiseEqual(const std::vector<Real> &a, const std::vector<Real> &b)
-{
-    if (a.size() != b.size())
-        return false;
-    for (std::size_t i = 0; i < a.size(); ++i)
-        if (a[i] != b[i])
-            return false;
-    return true;
-}
-
 PropagatorConfig
 makeConfig(Diffraction approx, std::size_t pad_factor, std::size_t n = 32)
 {
@@ -79,29 +65,6 @@ allConfigs()
             makeConfig(Diffraction::RayleighSommerfeld, 2),
             makeConfig(Diffraction::Fresnel, 2),
             makeConfig(Diffraction::Fraunhofer, 1)};
-}
-
-TEST(Workspace, ForwardIntoBitwiseMatchesByValue)
-{
-    PropagationWorkspace workspace;
-    for (const PropagatorConfig &config : allConfigs()) {
-        Propagator prop(config);
-        Field input = randomField(config.grid.n, 11);
-
-        Field by_value = prop.forward(input);
-        Field into;
-        prop.forwardInto(input, into, workspace);
-        EXPECT_TRUE(bitwiseEqual(into, by_value))
-            << diffractionName(config.approx) << " pad "
-            << config.pad_factor;
-
-        Field adj_by_value = prop.adjoint(input);
-        Field adj_into;
-        prop.adjointInto(input, adj_into, workspace);
-        EXPECT_TRUE(bitwiseEqual(adj_into, adj_by_value))
-            << diffractionName(config.approx) << " pad "
-            << config.pad_factor;
-    }
 }
 
 TEST(Workspace, InPlaceAliasingMatchesOutOfPlace)
@@ -198,73 +161,6 @@ TEST(Workspace, ReleasingForeignBufferThrows)
     PropagationWorkspace workspace;
     Field foreign(4, 4);
     EXPECT_THROW(workspace.release(foreign), std::logic_error);
-}
-
-/**
- * The full training stack — diffractive + codesign + skip + layernorm —
- * must produce bitwise-identical activations, parameter gradients, and
- * input gradients through the in-place pipeline and the by-value one.
- */
-TEST(WorkspaceLayers, InPlaceStackMatchesByValueBitwise)
-{
-    const std::size_t n = 16;
-    SystemSpec spec;
-    spec.size = n;
-    spec.pixel = 36e-6;
-    spec.distance = idealDistanceHalfCone(Grid{n, 36e-6}, 532e-9);
-
-    auto build = [&](uint64_t seed, Rng *noise) {
-        Rng rng(seed);
-        DonnModel model(spec, Laser{});
-        model.addLayer(std::make_unique<DiffractiveLayer>(
-            model.hopPropagator(), 1.0, &rng));
-        std::vector<LayerPtr> inner;
-        inner.push_back(std::make_unique<DiffractiveLayer>(
-            model.hopPropagator(), 1.0, &rng));
-        PropagatorConfig sc = model.hopPropagator()->config();
-        model.addLayer(std::make_unique<OpticalSkipLayer>(
-            std::move(inner), std::make_shared<Propagator>(sc)));
-        model.addLayer(std::make_unique<CodesignLayer>(
-            model.hopPropagator(), DeviceLut::idealPhase(4), 1.0, 1.0,
-            noise));
-        model.addLayer(std::make_unique<LayerNormLayer>());
-        model.setDetector(DetectorPlane(DetectorPlane::gridLayout(n, 4, 2)));
-        return model;
-    };
-
-    // Identical models with identical (private) noise streams: the two
-    // paths must consume Gumbel noise in the same order.
-    Rng noise_a(99), noise_b(99);
-    DonnModel by_value = build(7, &noise_a);
-    DonnModel in_place = build(7, &noise_b);
-
-    Field input = randomField(n, 13);
-
-    Field out_a = by_value.forwardField(input, true);
-    Field u = input;
-    PropagationWorkspace workspace;
-    in_place.forwardFieldInPlace(u, true, workspace);
-    EXPECT_TRUE(bitwiseEqual(u, out_a));
-
-    Field grad = randomField(n, 17);
-    by_value.backwardField(grad);
-    Field g = grad;
-    in_place.backwardFieldInPlace(g, workspace);
-
-    std::vector<ParamView> pa = by_value.params();
-    std::vector<ParamView> pb = in_place.params();
-    ASSERT_EQ(pa.size(), pb.size());
-    for (std::size_t p = 0; p < pa.size(); ++p)
-        EXPECT_TRUE(bitwiseEqual(*pa[p].grad, *pb[p].grad))
-            << "param " << p << " (" << pa[p].name << ")";
-
-    // Inference paths agree too.
-    EXPECT_TRUE(bitwiseEqual(by_value.inferField(input),
-                             [&] {
-                                 Field v = input;
-                                 in_place.inferFieldInPlace(v, workspace);
-                                 return v;
-                             }()));
 }
 
 TEST(WorkspaceModel, EncodeIntoMatchesEncode)

@@ -1,6 +1,6 @@
 #include "fft/fft.hpp"
 
-// Deliberately clean: allowlisted receivers and Into-style calls.
+// Deliberately clean: FFT plan calls and Into-style calls.
 void cleanCalls(lightridge::Fft2d *fft_, lightridge::Field &u)
 {
     fft_->forward(&u);

@@ -9,11 +9,9 @@ checks, with file/line diagnostics:
                        time jumps under NTP slew and breaks latency math).
   banned-function      rand()/strtok()/gets()/printf() in library code:
                        non-reentrant, or bypasses the logging layer.
-  deprecated-api       by-value propagation entry points (`x->forward(...)`
-                       on a propagation object, `submitLegacy`) outside the
-                       pinned compatibility shims and tests. New code uses
-                       the zero-allocation *Into / *InPlace APIs (PR 4) and
-                       the v2 submit() API.
+  deprecated-api       calls to the deleted v1 serving entry point
+                       `submitLegacy`, so the name cannot come back; new
+                       code uses the v2 submit() API.
   zero-alloc-hot-path  naked `Field` construction inside *Into / *InPlace
                        function bodies, inside the perturbation-sampler
                        hot path (fillHopPerturbation, samplePerturbation,
@@ -226,22 +224,6 @@ def rule_banned_function(ctx):
                 yield Violation("banned-function", ctx.rel, idx, why)
 
 
-# Receivers whose .forward()/.adjoint() are NOT propagation entry points:
-# FFT plans (FftPlan::forward is the transform itself) and the detector
-# head (Detector::forward is its canonical training-path name).
-DEPRECATED_API_RECEIVER_ALLOW = re.compile(
-    r"(fft|plan|inner|detector)", re.IGNORECASE)
-
-# The pinned by-value compatibility shims themselves (PR 4 / v1 API): the
-# deprecated entry points are *defined* (and delegated from) here.
-DEPRECATED_API_EXEMPT_FILES = {
-    "src/serve/engine.hpp",
-    "src/serve/engine.cpp",
-}
-
-DEPRECATED_CALL_RE = re.compile(
-    r"(?P<recv>[A-Za-z_][A-Za-z0-9_]*)\s*(?:\.|->)\s*"
-    r"(?P<meth>forward|adjoint)\s*\(")
 SUBMIT_LEGACY_RE = re.compile(r"\bsubmitLegacy\s*\(")
 
 DEPRECATED_API_SCOPES = ("src/core/", "src/optics/", "src/hardware/",
@@ -252,23 +234,12 @@ def rule_deprecated_api(ctx):
     rel = rel_parts(ctx)
     if not rel.startswith(DEPRECATED_API_SCOPES):
         return
-    if rel in DEPRECATED_API_EXEMPT_FILES:
-        return
     for idx, line in enumerate(ctx.masked_lines, start=1):
-        for m in DEPRECATED_CALL_RE.finditer(line):
-            if DEPRECATED_API_RECEIVER_ALLOW.search(m.group("recv")):
-                continue
-            yield Violation(
-                "deprecated-api", ctx.rel, idx,
-                f"by-value {m.group('meth')}() on '{m.group('recv')}' "
-                "allocates per call; use the "
-                f"{m.group('meth')}Into/{m.group('meth')}InPlace API with a "
-                "PropagationWorkspace")
         if SUBMIT_LEGACY_RE.search(line):
             yield Violation(
                 "deprecated-api", ctx.rel, idx,
-                "submitLegacy() is the pinned v1 exception-style shim; new "
-                "code uses InferenceEngine::submit() and Expected results")
+                "submitLegacy() was the deleted v1 exception-style entry "
+                "point; use InferenceEngine::submit() and Expected results")
 
 
 # Function definitions whose body is a zero-allocation steady-state path:

@@ -41,8 +41,6 @@ class FixtureCorpusTest(unittest.TestCase):
         expected = [
             ("banned-function", "src/core/banned.cpp", 7),
             ("banned-function", "src/core/banned.cpp", 8),
-            ("deprecated-api", "src/core/api.cpp", 6),
-            ("deprecated-api", "src/core/api.cpp", 7),
             ("deprecated-api", "src/serve/legacy.cpp", 6),
             ("include-guard", "src/utils/guard.hpp", 1),
             ("include-guard", "src/utils/late_guard.hpp", 4),
@@ -76,7 +74,7 @@ class JsonReportTest(unittest.TestCase):
                 data = json.load(fh)
         self.assertFalse(data["clean"])
         self.assertEqual(data["counts"]["banned-function"], 2)
-        self.assertEqual(data["counts"]["deprecated-api"], 3)
+        self.assertEqual(data["counts"]["deprecated-api"], 1)
         self.assertEqual(data["counts"]["include-guard"], 2)
         self.assertEqual(data["counts"]["serve-steady-clock"], 1)
         self.assertEqual(data["counts"]["zero-alloc-hot-path"], 3)
