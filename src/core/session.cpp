@@ -158,6 +158,25 @@ Session::requireFiniteLoss(Real loss_sum, std::size_t batch_index) const
         std::to_string(batch_index) + "; stopped before the optimizer step");
 }
 
+void
+Session::requireFiniteGradients(const std::vector<ParamView> &params,
+                                std::size_t batch_index) const
+{
+    for (const ParamView &param : params) {
+        const std::vector<Real> &grad = *param.grad;
+        const auto bad = std::find_if(grad.begin(), grad.end(), [](Real g) {
+            return !std::isfinite(g);
+        });
+        if (bad == grad.end())
+            continue;
+        throw std::runtime_error(
+            "non-finite gradient (" + std::to_string(*bad) + ") in " +
+            param.name + " in epoch " + std::to_string(epoch_counter_ - 1) +
+            ", batch " + std::to_string(batch_index) +
+            "; stopped before the optimizer step");
+    }
+}
+
 bool
 Session::devEvalDue(std::size_t batch_index) const
 {
@@ -200,6 +219,7 @@ Session::trainEpochSerial(const std::vector<std::size_t> &order)
     EpochStats stats;
     WallTimer timer;
 
+    const std::vector<ParamView> params = task_.params();
     DataSource *stream = task_.trainStream();
     const bool perturbed = task_.perturbationActive();
     std::size_t correct = 0;
@@ -220,6 +240,7 @@ Session::trainEpochSerial(const std::vector<std::size_t> &order)
             ++correct;
         if (++in_batch == config_.batch) {
             requireFiniteLoss(stats.train_loss, i / config_.batch);
+            requireFiniteGradients(params, i / config_.batch);
             optimizer_.step();
             task_.zeroGrad();
             in_batch = 0;
@@ -230,6 +251,7 @@ Session::trainEpochSerial(const std::vector<std::size_t> &order)
     }
     if (in_batch > 0) {
         requireFiniteLoss(stats.train_loss, order.size() / config_.batch);
+        requireFiniteGradients(params, order.size() / config_.batch);
         optimizer_.step();
         task_.zeroGrad();
     }
@@ -307,6 +329,7 @@ Session::trainEpochParallel(const std::vector<std::size_t> &order,
             task_.zeroReplicaGrad(r);
         }
         requireFiniteLoss(stats.train_loss, start / config_.batch);
+        requireFiniteGradients(main_params, start / config_.batch);
         optimizer_.step();
         task_.zeroGrad();
         task_.syncReplicas();

@@ -107,6 +107,14 @@ class Session
      */
     void requireFiniteLoss(Real loss_sum, std::size_t batch_index) const;
 
+    /**
+     * Same check over the merged gradients the optimizer is about to
+     * apply (a finite loss can still carry an inf or NaN gradient).
+     * `params` are the task's views, fetched once per epoch.
+     */
+    void requireFiniteGradients(const std::vector<ParamView> &params,
+                                std::size_t batch_index) const;
+
     /** True when the mid-epoch dev-eval cadence fires after this batch. */
     bool devEvalDue(std::size_t batch_index) const;
 

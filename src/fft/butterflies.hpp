@@ -1,14 +1,12 @@
 /**
  * @file
- * Twiddle-free 3- and 5-point DFT butterflies for the SoA engine.
+ * Twiddle-free 3- and 5-point DFT butterflies of the Stockham passes.
  *
- * One body per radix serves both call sites: the radix-3/5 combine
- * passes in fft/kernels.cpp (unit-stride SoA lanes, after the twiddle
- * multiply) and the 3- and 5-point recursion leaves in fft/fft.cpp (loads
- * straight from strided interleaved input). Values are split real/imag
- * and transformed in place with the forward sign convention
+ * The radix-3 and radix-5 passes in fft/kernels.cpp run these bodies on
+ * unit-stride bundle runs before the twiddle multiply. Values are split
+ * real/imag and transformed in place with the forward sign convention
  * y_t = sum_j x_j * exp(-j*2*pi*t*j/p). The bodies are header-inline so
- * they vanish into the surrounding `omp simd` loop or leaf.
+ * they vanish into the surrounding `omp simd` loop.
  */
 #pragma once
 

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "fft/butterflies.hpp"
 #include "utils/sync.hpp"
 #include "utils/thread_pool.hpp"
 
@@ -34,8 +33,8 @@ factorize(std::size_t n)
 }
 
 /**
- * Radix sequence of the recursion: pairs of 2s fuse into radix-4 levels
- * (half the combine passes over the dominant power-of-two part), any
+ * Radix sequence of the Stockham passes: pairs of 2s fuse into radix-4
+ * passes (half the sweeps over the dominant power-of-two part), any
  * leftover 2 and the odd prime factors follow unchanged.
  */
 std::vector<std::size_t>
@@ -56,137 +55,255 @@ groupRadices(const std::vector<std::size_t> &factors)
     return out;
 }
 
-/**
- * Thread-local split real/imag scratch for the SoA recursion: recursion
- * output and a generic-radix staging block. One set per thread suffices
- * because plan execution uses it strictly nested (a combine finishes with
- * the staging block before its parent starts).
- */
-struct SoaScratch
+/** Split real/imag view of one bundle buffer. */
+struct SplitBuffer
 {
-    std::vector<Real> out_re, out_im;
-    std::vector<Real> stage_re, stage_im;
-
-    void
-    ensure(std::size_t n)
-    {
-        if (out_re.size() >= n)
-            return;
-        out_re.resize(n);
-        out_im.resize(n);
-        stage_re.resize(n);
-        stage_im.resize(n);
-    }
+    Real *re;
+    Real *im;
 };
 
-SoaScratch &
-tlsSoaScratch(std::size_t n)
+/**
+ * Thread-local ping-pong pair for the passes of one bundle. Plans never
+ * touch it themselves: the caller (a lone plan or one Fft2d bundle)
+ * stages into `a`, runs the plan over a and b, and unstages from
+ * whichever one holds the result, so one pair per thread suffices.
+ */
+struct BundleScratch
 {
-    static thread_local SoaScratch scratch;
-    scratch.ensure(n);
+    std::vector<Real> a_re, a_im, b_re, b_im;
+
+    SplitBuffer a() { return {a_re.data(), a_im.data()}; }
+    SplitBuffer b() { return {b_re.data(), b_im.data()}; }
+};
+
+BundleScratch &
+tlsBundleScratch(std::size_t reals)
+{
+    static thread_local BundleScratch scratch;
+    if (scratch.a_re.size() < reals) {
+        scratch.a_re.resize(reals);
+        scratch.a_im.resize(reals);
+        scratch.b_re.resize(reals);
+        scratch.b_im.resize(reals);
+    }
     return scratch;
 }
 
 /**
- * Twiddle-free P-point leaf of the SoA recursion (P = 3 or 5): gathers P
- * interleaved samples `step` Reals apart and writes the P-point DFT as
- * split real/imag outputs, through the same butterfly as the passes.
+ * Stage `lanes` transforms of length n into a bundle: element k of
+ * transform v is src[k*elem_stride + v*lane_stride] and lands at k*lanes
+ * + v. An inverse transform conjugates on the way in (it runs as the
+ * conjugate of a forward one). Either the lanes (column bundles) or the
+ * elements (rows, lone plans) are adjacent in memory; the rows take a
+ * block transpose, two lanes at a time.
  */
-template <std::size_t P>
+template <std::size_t Lanes>
 void
-oddPrimeLeaf(const Real *in, std::size_t step, Real *out_re, Real *out_im)
+loadBundleT(const Complex *src, std::size_t n, std::size_t lanes,
+            std::size_t elem_stride, std::size_t lane_stride, bool conjugate,
+            SplitBuffer dst)
 {
-    Real r[P], i[P];
-    for (std::size_t j = 0; j < P; ++j) {
-        r[j] = in[j * step];
-        i[j] = in[j * step + 1];
+    const std::size_t L = Lanes ? Lanes : lanes;
+    const Real sign = conjugate ? Real(-1) : Real(1);
+    const Real *in = reinterpret_cast<const Real *>(src);
+    if (lane_stride == 1) {
+        for (std::size_t k = 0; k < n; ++k) {
+            const Real *e = in + 2 * k * elem_stride;
+            Real *dr = dst.re + k * L, *di = dst.im + k * L;
+            for (std::size_t v = 0; v < L; ++v) {
+                dr[v] = e[2 * v];
+                di[v] = sign * e[2 * v + 1];
+            }
+        }
+        return;
     }
-    if constexpr (P == 3)
-        kernels::detail::butterfly3(r[0], i[0], r[1], i[1], r[2], i[2]);
+    std::size_t v = 0;
+    for (; v + 1 < L; v += 2) {
+        const Real *r0 = in + 2 * v * lane_stride;
+        const Real *r1 = r0 + 2 * lane_stride;
+        for (std::size_t k = 0; k < n; ++k) {
+            dst.re[k * L + v] = r0[2 * k];
+            dst.re[k * L + v + 1] = r1[2 * k];
+            dst.im[k * L + v] = sign * r0[2 * k + 1];
+            dst.im[k * L + v + 1] = sign * r1[2 * k + 1];
+        }
+    }
+    for (; v < L; ++v) {
+        const Real *r0 = in + 2 * v * lane_stride;
+        for (std::size_t k = 0; k < n; ++k) {
+            dst.re[k * L + v] = r0[2 * k];
+            dst.im[k * L + v] = sign * r0[2 * k + 1];
+        }
+    }
+}
+
+void
+loadBundle(const Complex *src, std::size_t n, std::size_t lanes,
+           std::size_t elem_stride, std::size_t lane_stride, bool conjugate,
+           SplitBuffer dst)
+{
+    if (lanes == kFftBundleLanes)
+        loadBundleT<kFftBundleLanes>(src, n, lanes, elem_stride,
+                                     lane_stride, conjugate, dst);
     else
-        kernels::detail::butterfly5(r[0], i[0], r[1], i[1], r[2], i[2], r[3],
-                                    i[3], r[4], i[4]);
-    std::copy(r, r + P, out_re);
-    std::copy(i, i + P, out_im);
+        loadBundleT<0>(src, n, lanes, elem_stride, lane_stride, conjugate,
+                       dst);
+}
+
+/** Inverse of loadBundle; an inverse conjugates and scales by 1/n. */
+template <std::size_t Lanes>
+void
+storeBundleT(SplitBuffer src, std::size_t n, std::size_t lanes,
+             std::size_t elem_stride, std::size_t lane_stride, bool inverse,
+             Complex *dst)
+{
+    const std::size_t L = Lanes ? Lanes : lanes;
+    const Real scale = inverse ? Real(1) / static_cast<Real>(n) : Real(1);
+    const Real im_scale = inverse ? -scale : scale;
+    Real *out = reinterpret_cast<Real *>(dst);
+    if (lane_stride == 1) {
+        for (std::size_t k = 0; k < n; ++k) {
+            Real *e = out + 2 * k * elem_stride;
+            const Real *sr = src.re + k * L, *si = src.im + k * L;
+            for (std::size_t v = 0; v < L; ++v) {
+                e[2 * v] = sr[v] * scale;
+                e[2 * v + 1] = si[v] * im_scale;
+            }
+        }
+        return;
+    }
+    std::size_t v = 0;
+    for (; v + 1 < L; v += 2) {
+        Real *r0 = out + 2 * v * lane_stride;
+        Real *r1 = r0 + 2 * lane_stride;
+        for (std::size_t k = 0; k < n; ++k) {
+            r0[2 * k] = src.re[k * L + v] * scale;
+            r1[2 * k] = src.re[k * L + v + 1] * scale;
+            r0[2 * k + 1] = src.im[k * L + v] * im_scale;
+            r1[2 * k + 1] = src.im[k * L + v + 1] * im_scale;
+        }
+    }
+    for (; v < L; ++v) {
+        Real *r0 = out + 2 * v * lane_stride;
+        for (std::size_t k = 0; k < n; ++k) {
+            r0[2 * k] = src.re[k * L + v] * scale;
+            r0[2 * k + 1] = src.im[k * L + v] * im_scale;
+        }
+    }
+}
+
+void
+storeBundle(SplitBuffer src, std::size_t n, std::size_t lanes,
+            std::size_t elem_stride, std::size_t lane_stride, bool inverse,
+            Complex *dst)
+{
+    if (lanes == kFftBundleLanes)
+        storeBundleT<kFftBundleLanes>(src, n, lanes, elem_stride,
+                                      lane_stride, inverse, dst);
+    else
+        storeBundleT<0>(src, n, lanes, elem_stride, lane_stride, inverse,
+                        dst);
+}
+
+/**
+ * y_k = c_k * y_k over the first n elements of a bundle, c broadcast
+ * across the lanes; conj_in conjugates y first and conj_out the product.
+ * These are Bluestein's chirp and chirp-spectrum products.
+ */
+void
+bundleMultiply(SplitBuffer y, const Real *c_re, const Real *c_im,
+               std::size_t n, std::size_t lanes, bool conj_in, bool conj_out)
+{
+    const Real in_sign = conj_in ? Real(-1) : Real(1);
+    const Real out_sign = conj_out ? Real(-1) : Real(1);
+    for (std::size_t k = 0; k < n; ++k) {
+        const Real cr = c_re[k], ci = c_im[k];
+        Real *yr = y.re + k * lanes, *yi = y.im + k * lanes;
+        for (std::size_t v = 0; v < lanes; ++v) {
+            const Real xr = yr[v], xi = in_sign * yi[v];
+            yr[v] = xr * cr - xi * ci;
+            yi[v] = out_sign * (xr * ci + xi * cr);
+        }
+    }
 }
 
 } // namespace
 
 /**
  * Plan internals. Two strategies:
- *  - Mixed radix: split real/imag (SoA) recursion over a radix sequence
- *    (groupRadices), with per-level twiddle sub-tables feeding the
- *    kernels in fft/kernels.hpp.
- *  - Bluestein: chirp-z over an internal power-of-two mixed-radix plan.
+ *  - Mixed radix: one iterative Stockham pass per radix (groupRadices),
+ *    each with its twiddle table, over a bundle of any lane count.
+ *  - Bluestein: chirp products around a power-of-two inner plan's
+ *    passes, over the same bundle layout.
  */
 struct FftPlan::Impl
 {
     std::size_t n = 0;
     bool bluestein = false;
 
-    // Mixed-radix state. Per level with radix p over blocks of length
-    // n_level = p * m:
-    //  - twiddle_{re,im} hold p-1 unit-stride sub-tables of length m each,
-    //    tw[(j-1)*m + k] = exp(-j*2*pi*(j*k)/n_level), j in 1..p-1;
-    //  - dft_{re,im} hold the p*p DFT matrix exp(-j*2*pi*t*j/p) for the
-    //    generic-radix kernel (empty for the specialized p = 2, 3, 4, 5).
-    std::vector<std::size_t> radices;
-    std::vector<std::vector<Real>> twiddle_re, twiddle_im;
-    std::vector<std::vector<Real>> dft_re, dft_im;
+    // Mixed-radix state: pass i splits sub-transforms of length p*m into
+    // p of length m. tw holds W_{pm}^{j*u} j-major (kernels::stockhamPass)
+    // and root holds W_p^t for the generic radices (empty for p <= 5).
+    struct Pass
+    {
+        std::size_t p = 0, m = 0;
+        std::vector<Real> tw_re, tw_im, root_re, root_im;
+    };
+    std::vector<Pass> passes;
 
     // Bluestein state.
-    std::size_t m = 0;                      // power-of-two conv length
-    std::vector<Complex> chirp;             // a_k = exp(-j*pi*k^2/n)
-    std::vector<Complex> chirp_spectrum;    // FFT_m of conj-chirp kernel
-    std::shared_ptr<const FftPlan> inner;   // power-of-two plan of length m
+    std::size_t conv = 0;                 // power-of-two conv length
+    std::vector<Real> chirp_re, chirp_im; // a_k = exp(-j*pi*k^2/n)
+    std::vector<Real> spectrum_re, spectrum_im; // FFT(conj chirp) / conv
+    std::shared_ptr<const FftPlan> inner; // power-of-two plan, length conv
 
     void buildMixedRadix(const std::vector<std::size_t> &factors);
     void buildBluestein();
-    void executeMixed(Complex *data) const;
-    void recurseSoa(const Real *in, std::size_t in_stride, Real *out_re,
-                    Real *out_im, std::size_t n_cur, std::size_t level,
-                    SoaScratch *scratch) const;
-    void combineSoa(Real *re, Real *im, std::size_t n_cur, std::size_t p,
-                    std::size_t level, SoaScratch *scratch) const;
-    void executeBluestein(Complex *data) const;
+
+    /** Complex elements per lane the bundle buffers must hold. */
+    std::size_t bufferLength() const { return bluestein ? conv : n; }
+
+    /**
+     * Forward transforms of the `lanes` bundled sequences staged in a,
+     * using b as the ping-pong partner (both bufferLength() * lanes
+     * long). Returns whichever of a and b holds the result.
+     */
+    SplitBuffer run(SplitBuffer a, SplitBuffer b, std::size_t lanes) const;
+    SplitBuffer runBluestein(SplitBuffer a, SplitBuffer b,
+                             std::size_t lanes) const;
+
+    /** Lone in-place transform: a bundle of one lane. */
+    void transformOne(Complex *data, bool inverse) const;
 };
 
 void
 FftPlan::Impl::buildMixedRadix(const std::vector<std::size_t> &factors)
 {
-    radices = groupRadices(factors);
     std::size_t cur = n;
-    for (std::size_t p : radices) {
-        const std::size_t m_cur = cur / p;
-        std::vector<Real> tw_re((p - 1) * m_cur);
-        std::vector<Real> tw_im((p - 1) * m_cur);
-        for (std::size_t j = 1; j < p; ++j)
-            for (std::size_t k = 0; k < m_cur; ++k) {
-                std::size_t idx = (j * k) % cur; // keep the argument small
+    for (std::size_t p : groupRadices(factors)) {
+        Pass pass;
+        pass.p = p;
+        pass.m = cur / p;
+        pass.tw_re.resize(pass.m * (p - 1));
+        pass.tw_im.resize(pass.m * (p - 1));
+        for (std::size_t j = 0; j < pass.m; ++j)
+            for (std::size_t u = 1; u < p; ++u) {
+                std::size_t idx = (j * u) % cur; // keep the argument small
                 Real angle = -kTwoPi * static_cast<Real>(idx) /
                              static_cast<Real>(cur);
-                tw_re[(j - 1) * m_cur + k] = std::cos(angle);
-                tw_im[(j - 1) * m_cur + k] = std::sin(angle);
+                pass.tw_re[j * (p - 1) + u - 1] = std::cos(angle);
+                pass.tw_im[j * (p - 1) + u - 1] = std::sin(angle);
             }
-        twiddle_re.push_back(std::move(tw_re));
-        twiddle_im.push_back(std::move(tw_im));
-
-        std::vector<Real> w_re, w_im;
         if (p > 5) {
-            w_re.resize(p * p);
-            w_im.resize(p * p);
-            for (std::size_t t = 0; t < p; ++t)
-                for (std::size_t j = 0; j < p; ++j) {
-                    Real angle = -kTwoPi *
-                                 static_cast<Real>((t * j) % p) /
-                                 static_cast<Real>(p);
-                    w_re[t * p + j] = std::cos(angle);
-                    w_im[t * p + j] = std::sin(angle);
-                }
+            for (std::size_t t = 0; t < p; ++t) {
+                Real angle =
+                    -kTwoPi * static_cast<Real>(t) / static_cast<Real>(p);
+                pass.root_re.push_back(std::cos(angle));
+                pass.root_im.push_back(std::sin(angle));
+            }
         }
-        dft_re.push_back(std::move(w_re));
-        dft_im.push_back(std::move(w_im));
-        cur = m_cur;
+        cur = pass.m;
+        passes.push_back(std::move(pass));
     }
 }
 
@@ -194,178 +311,84 @@ void
 FftPlan::Impl::buildBluestein()
 {
     bluestein = true;
-    m = 1;
-    while (m < 2 * n - 1)
-        m <<= 1;
+    conv = 1;
+    while (conv < 2 * n - 1)
+        conv <<= 1;
     // Power-of-two inner plans recur across Bluestein lengths (every prime
     // in [2^{k-1}, 2^k) shares the same conv length), so take them from the
     // shared cache.
-    inner = acquireFftPlan(m);
+    inner = acquireFftPlan(conv);
 
-    chirp.resize(n);
+    chirp_re.resize(n);
+    chirp_im.resize(n);
+    std::vector<Complex> kernel(conv, Complex{0, 0});
     for (std::size_t k = 0; k < n; ++k) {
         // k^2 mod 2n keeps the argument small for precision.
         std::size_t k2 = (k * k) % (2 * n);
         Real angle = -kPi * static_cast<Real>(k2) / static_cast<Real>(n);
-        chirp[k] = Complex{std::cos(angle), std::sin(angle)};
-    }
-
-    std::vector<Complex> kernel(m, Complex{0, 0});
-    for (std::size_t k = 0; k < n; ++k) {
-        Complex b = std::conj(chirp[k]);
+        chirp_re[k] = std::cos(angle);
+        chirp_im[k] = std::sin(angle);
+        const Complex b{chirp_re[k], -chirp_im[k]};
         kernel[k] = b;
         if (k != 0)
-            kernel[m - k] = b;
+            kernel[conv - k] = b;
     }
     inner->forward(kernel.data());
-    chirp_spectrum = std::move(kernel);
-}
-
-void
-FftPlan::Impl::combineSoa(Real *re, Real *im, std::size_t n_cur,
-                          std::size_t p, std::size_t level,
-                          SoaScratch *scratch) const
-{
-    const std::size_t m_cur = n_cur / p;
-    const Real *tw_re = twiddle_re[level].data();
-    const Real *tw_im = twiddle_im[level].data();
-
-    if (p == 2) {
-        kernels::radix2Pass(re, im, tw_re, tw_im, m_cur);
-        return;
-    }
-    if (p == 4) {
-        kernels::radix4Pass(re, im, tw_re, tw_im, m_cur);
-        return;
-    }
-    if (p == 3) {
-        kernels::radix3Pass(re, im, tw_re, tw_im, m_cur);
-        return;
-    }
-    if (p == 5) {
-        kernels::radix5Pass(re, im, tw_re, tw_im, m_cur);
-        return;
-    }
-
-    // Generic radix: stage b_j = a_j * tw_j (b_0 = a_0), then accumulate
-    // the p-point DFT rows y_t = sum_j W_p^{tj} * b_j as vectorized
-    // constant-complex axpy passes over unit-stride lanes.
-    Real *b_re = scratch->stage_re.data();
-    Real *b_im = scratch->stage_im.data();
-    std::copy(re, re + m_cur, b_re);
-    std::copy(im, im + m_cur, b_im);
-    for (std::size_t j = 1; j < p; ++j)
-        kernels::cmulSoa(b_re + j * m_cur, b_im + j * m_cur, re + j * m_cur,
-                         im + j * m_cur, tw_re + (j - 1) * m_cur,
-                         tw_im + (j - 1) * m_cur, m_cur);
-    const Real *w_re = dft_re[level].data();
-    const Real *w_im = dft_im[level].data();
-    for (std::size_t t = 0; t < p; ++t) {
-        Real *y_re = re + t * m_cur;
-        Real *y_im = im + t * m_cur;
-        std::copy(b_re, b_re + m_cur, y_re); // W_p^{t*0} = 1
-        std::copy(b_im, b_im + m_cur, y_im);
-        for (std::size_t j = 1; j < p; ++j)
-            kernels::caxpySoa(y_re, y_im, b_re + j * m_cur, b_im + j * m_cur,
-                              w_re[t * p + j], w_im[t * p + j], m_cur);
+    // The inverse transform's 1/conv rides on the spectrum; conv is a
+    // power of two, so the scale is exact.
+    const Real scale = Real(1) / static_cast<Real>(conv);
+    spectrum_re.resize(conv);
+    spectrum_im.resize(conv);
+    for (std::size_t k = 0; k < conv; ++k) {
+        spectrum_re[k] = kernel[k].real() * scale;
+        spectrum_im[k] = kernel[k].imag() * scale;
     }
 }
 
-/**
- * SoA recursion over interleaved input: `in` points at complex sample 0
- * of the sub-transform, strided by `in_stride` complex samples. Reading
- * the interleaved data directly at the gather points saves a full
- * deinterleave pass, and the deepest levels (twiddle-free 2-, 3-, 4- and
- * 5-point transforms) are unrolled to cut leaf-call overhead.
- */
-void
-FftPlan::Impl::recurseSoa(const Real *in, std::size_t in_stride,
-                          Real *out_re, Real *out_im, std::size_t n_cur,
-                          std::size_t level, SoaScratch *scratch) const
+SplitBuffer
+FftPlan::Impl::run(SplitBuffer a, SplitBuffer b, std::size_t lanes) const
 {
-    const std::size_t step = 2 * in_stride; // Reals per complex stride
-    if (n_cur == 1) {
-        out_re[0] = in[0];
-        out_im[0] = in[1];
-        return;
+    if (bluestein)
+        return runBluestein(a, b, lanes);
+    std::size_t block = lanes;
+    for (const Pass &pass : passes) {
+        kernels::stockhamPass(pass.p, pass.m, block, a.re, a.im, b.re, b.im,
+                              pass.tw_re.data(), pass.tw_im.data(),
+                              pass.root_re.data(), pass.root_im.data());
+        std::swap(a, b);
+        block *= pass.p;
     }
-    if (n_cur == 2) { // last level is always radix-2, twiddles are 1
-        Real a0r = in[0], a0i = in[1];
-        Real a1r = in[step], a1i = in[step + 1];
-        out_re[0] = a0r + a1r;
-        out_im[0] = a0i + a1i;
-        out_re[1] = a0r - a1r;
-        out_im[1] = a0i - a1i;
-        return;
-    }
-    if (n_cur == 3) { // odd primes close the radix sequence
-        oddPrimeLeaf<3>(in, step, out_re, out_im);
-        return;
-    }
-    if (n_cur == 5) {
-        oddPrimeLeaf<5>(in, step, out_re, out_im);
-        return;
-    }
-    const std::size_t p = radices[level];
-    if (n_cur == 4 && p == 4) { // twiddle-free 4-point leaf (W_4 = -j)
-        Real a0r = in[0], a0i = in[1];
-        Real a1r = in[step], a1i = in[step + 1];
-        Real a2r = in[2 * step], a2i = in[2 * step + 1];
-        Real a3r = in[3 * step], a3i = in[3 * step + 1];
-        Real s0r = a0r + a2r, s0i = a0i + a2i;
-        Real s1r = a0r - a2r, s1i = a0i - a2i;
-        Real s2r = a1r + a3r, s2i = a1i + a3i;
-        Real s3r = a1r - a3r, s3i = a1i - a3i;
-        out_re[0] = s0r + s2r;
-        out_im[0] = s0i + s2i;
-        out_re[1] = s1r + s3i;
-        out_im[1] = s1i - s3r;
-        out_re[2] = s0r - s2r;
-        out_im[2] = s0i - s2i;
-        out_re[3] = s1r - s3i;
-        out_im[3] = s1i + s3r;
-        return;
-    }
-    const std::size_t m_cur = n_cur / p;
-    for (std::size_t j = 0; j < p; ++j)
-        recurseSoa(in + j * step, in_stride * p, out_re + j * m_cur,
-                   out_im + j * m_cur, m_cur, level + 1, scratch);
-    combineSoa(out_re, out_im, n_cur, p, level, scratch);
+    return a;
+}
+
+SplitBuffer
+FftPlan::Impl::runBluestein(SplitBuffer a, SplitBuffer b,
+                            std::size_t lanes) const
+{
+    // X_k = a_k * sum_j (x_j a_j) conj(a_{k-j}): chirp the input, zero-pad
+    // it to conv, and convolve with conj(a) through the inner plan. The
+    // inverse transform runs as the conjugate of a forward one.
+    bundleMultiply(a, chirp_re.data(), chirp_im.data(), n, lanes, false,
+                   false);
+    std::fill(a.re + n * lanes, a.re + conv * lanes, Real(0));
+    std::fill(a.im + n * lanes, a.im + conv * lanes, Real(0));
+    const Impl &core = *inner->impl_;
+    SplitBuffer y = core.run(a, b, lanes);
+    bundleMultiply(y, spectrum_re.data(), spectrum_im.data(), conv, lanes,
+                   false, true);
+    SplitBuffer w = core.run(y, y.re == a.re ? b : a, lanes);
+    bundleMultiply(w, chirp_re.data(), chirp_im.data(), n, lanes, true,
+                   false);
+    return w;
 }
 
 void
-FftPlan::Impl::executeMixed(Complex *data) const
+FftPlan::Impl::transformOne(Complex *data, bool inverse) const
 {
-    SoaScratch &scratch = tlsSoaScratch(n);
-    Real *interleaved = reinterpret_cast<Real *>(data);
-    recurseSoa(interleaved, 1, scratch.out_re.data(), scratch.out_im.data(),
-               n, 0, &scratch);
-    kernels::interleave(scratch.out_re.data(), scratch.out_im.data(),
-                        interleaved, n);
-}
-
-void
-FftPlan::Impl::executeBluestein(Complex *data) const
-{
-    // Scratch must not collide with the inner plan's own thread-local use;
-    // the convolution buffer lives in its own thread-local pool (the inner
-    // plan is always mixed-radix, so Bluestein execution never nests) and
-    // is grown once per length — steady-state execution allocates nothing.
-    static thread_local std::vector<Complex> chirp_buffer;
-    if (chirp_buffer.size() < m)
-        chirp_buffer.resize(m);
-    std::fill_n(chirp_buffer.begin(), m, Complex{0, 0});
-    Real *buffer = reinterpret_cast<Real *>(chirp_buffer.data());
-    kernels::cmulInterleavedOut(buffer, reinterpret_cast<const Real *>(data),
-                                reinterpret_cast<const Real *>(chirp.data()),
-                                n);
-    inner->forward(chirp_buffer.data());
-    kernels::cmulInterleaved(
-        buffer, reinterpret_cast<const Real *>(chirp_spectrum.data()), m);
-    inner->inverse(chirp_buffer.data());
-    kernels::cmulInterleavedOut(reinterpret_cast<Real *>(data), buffer,
-                                reinterpret_cast<const Real *>(chirp.data()),
-                                n);
+    BundleScratch &scratch = tlsBundleScratch(bufferLength());
+    loadBundle(data, n, 1, 1, n, inverse, scratch.a());
+    storeBundle(run(scratch.a(), scratch.b(), 1), n, 1, 1, n, inverse,
+                data);
 }
 
 FftPlan::FftPlan(std::size_t n) : impl_(std::make_unique<Impl>())
@@ -395,26 +418,13 @@ FftPlan::size() const
 void
 FftPlan::forward(Complex *data) const
 {
-    if (impl_->n == 1)
-        return;
-    if (impl_->bluestein)
-        impl_->executeBluestein(data);
-    else
-        impl_->executeMixed(data);
+    impl_->transformOne(data, false);
 }
 
 void
 FftPlan::inverse(Complex *data) const
 {
-    const std::size_t n = impl_->n;
-    if (n == 1)
-        return;
-    for (std::size_t i = 0; i < n; ++i)
-        data[i] = std::conj(data[i]);
-    forward(data);
-    const Real scale = Real(1) / static_cast<Real>(n);
-    for (std::size_t i = 0; i < n; ++i)
-        data[i] = std::conj(data[i]) * scale;
+    impl_->transformOne(data, true);
 }
 
 namespace {
@@ -495,80 +505,53 @@ Fft2d::Fft2d(std::size_t rows, std::size_t cols)
 {}
 
 void
-Fft2d::transformRows(Field *field, bool inverse, ThreadPool *pool) const
+Fft2d::transform(Field *field, bool inverse, ThreadPool *pool) const
 {
+    // Rows then columns, kFftBundleLanes transforms at a time. A column
+    // bundle is 8 adjacent columns, so staging reads them as they lie; a
+    // row bundle goes through a block transpose. Bundle boundaries are
+    // fixed, so which thread runs a bundle never changes its numerics.
     Complex *data = field->data();
-    auto one_row = [&](std::size_t r) {
-        if (inverse)
-            row_plan_->inverse(data + r * cols_);
-        else
-            row_plan_->forward(data + r * cols_);
+    auto axis = [&](const FftPlan::Impl &plan, std::size_t count,
+                    std::size_t elem_stride, std::size_t lane_stride) {
+        const std::size_t n = plan.n;
+        auto one_bundle = [&](std::size_t b) {
+            const std::size_t first = b * kFftBundleLanes;
+            const std::size_t lanes =
+                std::min(kFftBundleLanes, count - first);
+            BundleScratch &scratch =
+                tlsBundleScratch(plan.bufferLength() * kFftBundleLanes);
+            Complex *base = data + first * lane_stride;
+            loadBundle(base, n, lanes, elem_stride, lane_stride, inverse,
+                       scratch.a());
+            storeBundle(plan.run(scratch.a(), scratch.b(), lanes), n, lanes,
+                        elem_stride, lane_stride, inverse, base);
+        };
+        const std::size_t bundles =
+            (count + kFftBundleLanes - 1) / kFftBundleLanes;
+        if (ThreadPool *p = fft2dPool(pool, rows_ * cols_)) {
+            p->parallelFor(bundles, one_bundle);
+            return;
+        }
+        for (std::size_t b = 0; b < bundles; ++b)
+            one_bundle(b);
     };
-    if (ThreadPool *p = fft2dPool(pool, rows_ * cols_)) {
-        p->parallelFor(rows_, one_row);
-        return;
-    }
-    for (std::size_t r = 0; r < rows_; ++r)
-        one_row(r);
-}
-
-void
-Fft2d::transformColumns(Field *field, bool inverse, ThreadPool *pool) const
-{
-    // Columns are transformed in tiles of adjacent columns: the gather
-    // then reads kColumnTile consecutive samples per row (full cache
-    // lines) instead of one strided sample per pass, which is what makes
-    // the column half of fft2 memory-friendly on large grids. Each tile
-    // is staged column-contiguous so the 1-D plans run on unit stride.
-    constexpr std::size_t kColumnTile = 8;
-    Complex *data = field->data();
-    const std::size_t tiles = (cols_ + kColumnTile - 1) / kColumnTile;
-    auto one_tile = [&](std::size_t t) {
-        // Per-thread staging buffer, reused across a worker's tiles.
-        static thread_local std::vector<Complex> stage;
-        if (stage.size() < rows_ * kColumnTile)
-            stage.resize(rows_ * kColumnTile);
-        const std::size_t c0 = t * kColumnTile;
-        const std::size_t width = std::min(kColumnTile, cols_ - c0);
-        for (std::size_t r = 0; r < rows_; ++r) {
-            const Complex *src = data + r * cols_ + c0;
-            for (std::size_t j = 0; j < width; ++j)
-                stage[j * rows_ + r] = src[j];
-        }
-        for (std::size_t j = 0; j < width; ++j) {
-            if (inverse)
-                col_plan_->inverse(stage.data() + j * rows_);
-            else
-                col_plan_->forward(stage.data() + j * rows_);
-        }
-        for (std::size_t r = 0; r < rows_; ++r) {
-            Complex *dst = data + r * cols_ + c0;
-            for (std::size_t j = 0; j < width; ++j)
-                dst[j] = stage[j * rows_ + r];
-        }
-    };
-    if (ThreadPool *p = fft2dPool(pool, rows_ * cols_)) {
-        p->parallelFor(tiles, one_tile);
-        return;
-    }
-    for (std::size_t t = 0; t < tiles; ++t)
-        one_tile(t);
+    axis(*row_plan_->impl_, rows_, 1, cols_);
+    axis(*col_plan_->impl_, cols_, cols_, 1);
 }
 
 void
 Fft2d::forward(Field *field, ThreadPool *pool) const
 {
     assert(field->rows() == rows_ && field->cols() == cols_);
-    transformRows(field, false, pool);
-    transformColumns(field, false, pool);
+    transform(field, false, pool);
 }
 
 void
 Fft2d::inverse(Field *field, ThreadPool *pool) const
 {
     assert(field->rows() == rows_ && field->cols() == cols_);
-    transformRows(field, true, pool);
-    transformColumns(field, true, pool);
+    transform(field, true, pool);
 }
 
 namespace {

@@ -1,6 +1,7 @@
 /**
  * @file
- * Planned FFT engine: mixed-radix Cooley-Tukey with Bluestein fallback.
+ * Planned FFT engine: iterative Stockham passes over bundles of
+ * transforms, with a Bluestein fallback.
  *
  * This is the performance-critical kernel of LightRidge (paper Section 5.3,
  * Figure 8): scalar-diffraction emulation reduces to FFT2 -> complex
@@ -8,22 +9,25 @@
  * environment, so the engine is built from scratch:
  *
  *  - Arbitrary transform lengths. Smooth lengths (prime factors <= 31) run
- *    a recursive mixed-radix Cooley-Tukey with precomputed per-level
- *    twiddle tables and in-place butterflies; lengths with a larger prime
- *    factor run Bluestein's chirp-z algorithm over a power-of-two plan.
+ *    one Stockham (autosort, decimation-in-frequency) pass per radix, each
+ *    with a precomputed twiddle table; lengths with a larger prime factor
+ *    run Bluestein's chirp-z algorithm around a power-of-two plan's passes.
+ *  - Vector rank: the passes run over a bundle of kFftBundleLanes
+ *    independent transforms, lane-innermost in split real/imag
+ *    thread-local scratch, so every inner loop covers a contiguous run of
+ *    lanes times sub-transforms however short the sub-transforms get
+ *    (FFTW's vector-rank schedule). The kernels are in fft/kernels.hpp;
+ *    accuracy against the DFT oracle is pinned by kFftKernelTolerance.
+ *    A lone FftPlan runs the same passes as a bundle of one.
  *  - Plans are immutable after construction and safe to share across
  *    threads; per-call scratch lives in thread-local storage.
- *  - One engine: the recursion runs on split real/imag structure-of-arrays
- *    data through the kernels in fft/kernels.hpp (radix-2/3/4/5
- *    butterflies specialized, with twiddle-free 2- to 5-point recursion
- *    leaves; the primes 7-31 through generic SoA twiddle products), and
- *    the chirp/Hadamard products use the interleaved kernels. Accuracy
- *    against the DFT oracle is pinned by kFftKernelTolerance.
- *  - Fft2d shards the independent 1-D row and column transforms of one
- *    large grid across the process thread pool (row-parallel FFT2). The
- *    split is deterministic: results are bitwise-identical to the serial
- *    path regardless of worker count, and execution degrades gracefully
- *    to serial on single-thread hosts, inside pool workers (no nested
+ *  - Fft2d transforms 8 rows (through a block transpose) or 8 adjacent
+ *    columns (staged as they lie) per bundle; an inverse's conjugations
+ *    and 1/n scale ride on that staging. The bundles of one large grid
+ *    are sharded across the process thread pool (row-parallel FFT2) with
+ *    fixed boundaries: results are bitwise-identical to the serial path
+ *    regardless of worker count, and execution degrades gracefully to
+ *    serial on single-thread hosts, inside pool workers (no nested
  *    parallelism), and for small grids.
  *
  * The "LightPipes-like" baseline in src/baseline deliberately omits the
@@ -47,9 +51,9 @@ class ThreadPool;
 /**
  * Immutable 1-D FFT plan for a fixed transform length.
  *
- * Construction factorizes the length, precomputes all twiddle tables (and,
- * for Bluestein lengths, the chirp spectrum). Execution is allocation-free
- * in steady state.
+ * Construction factorizes the length, precomputes the twiddle table of
+ * every pass (and, for Bluestein lengths, the chirp spectrum). Execution is
+ * allocation-free in steady state.
  */
 class FftPlan
 {
@@ -73,6 +77,8 @@ class FftPlan
     void inverse(Complex *data) const;
 
   private:
+    friend class Fft2d; // runs the plans over bundles of transforms
+
     struct Impl;
     std::unique_ptr<Impl> impl_;
 };
@@ -81,13 +87,13 @@ class FftPlan
  * 2-D FFT over a Field: rows then columns, both via shared 1-D plans.
  * Thread-safe; scratch space is thread-local.
  *
- * Large grids are row/column-parallel: the independent 1-D transforms are
+ * Large grids are row/column-parallel: the bundles of 1-D transforms are
  * sharded across a thread pool. Passing pool = nullptr uses the global
- * pool. The parallel split never changes numerics (each 1-D transform is
- * computed identically on whichever thread runs it), and the engine runs
- * serially when the pool has <= 1 worker, when already executing inside a
- * pool worker (the batched sample-parallel path), or when the grid is
- * below the parallel threshold.
+ * pool. The parallel split never changes numerics (bundle boundaries are
+ * fixed and each bundle is computed identically on whichever thread runs
+ * it), and the engine runs serially when the pool has <= 1 worker, when
+ * already executing inside a pool worker (the batched sample-parallel
+ * path), or when the grid is below the parallel threshold.
  */
 class Fft2d
 {
@@ -105,8 +111,7 @@ class Fft2d
     void inverse(Field *field, ThreadPool *pool = nullptr) const;
 
   private:
-    void transformRows(Field *field, bool inverse, ThreadPool *pool) const;
-    void transformColumns(Field *field, bool inverse, ThreadPool *pool) const;
+    void transform(Field *field, bool inverse, ThreadPool *pool) const;
 
     std::size_t rows_;
     std::size_t cols_;

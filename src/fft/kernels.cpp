@@ -1,5 +1,7 @@
 #include "fft/kernels.hpp"
 
+#include <type_traits>
+
 #include "fft/butterflies.hpp"
 
 /*
@@ -29,143 +31,222 @@ simdKernelsCompiled()
 
 namespace kernels {
 
-void
-radix2Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-           std::size_t m)
+namespace {
+
+/** r + j*i *= wr + j*wi when Twiddled; a no-op otherwise. */
+template <bool Twiddled>
+inline void
+twiddle(Real &r, Real &i, Real wr, Real wi)
 {
-    LR_SIMD_LOOP
-    for (std::size_t k = 0; k < m; ++k) {
-        Real br = re[m + k], bi = im[m + k];
-        Real tr = br * tw_re[k] - bi * tw_im[k];
-        Real ti = br * tw_im[k] + bi * tw_re[k];
-        Real ar = re[k], ai = im[k];
-        re[k] = ar + tr;
-        im[k] = ai + ti;
-        re[m + k] = ar - tr;
-        im[m + k] = ai - ti;
+    if constexpr (Twiddled) {
+        const Real t = r * wr - i * wi;
+        i = r * wi + i * wr;
+        r = t;
     }
 }
 
+/**
+ * One butterfly block of a radix-P Stockham pass (P = 2, 3, 4, 5): the
+ * P-point DFT of the runs x + t*stride (t < P), written to the runs
+ * y + u*block (u < P), output u >= 1 times the twiddle w[u-1] when
+ * Twiddled. The twiddles are constant over the block, so they load once
+ * outside the vector loop. Block is the run length when it is known at
+ * compile time, else 0 and block_n holds it.
+ */
+template <std::size_t P, bool Twiddled, std::size_t Block>
 void
-radix4Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-           std::size_t m)
+butterflyBlock(const Real *xr, const Real *xi, Real *yr, Real *yi,
+               std::size_t stride, std::size_t block_n, const Real *wr,
+               const Real *wi)
 {
-    const Real *t1r = tw_re, *t1i = tw_im;
-    const Real *t2r = tw_re + m, *t2i = tw_im + m;
-    const Real *t3r = tw_re + 2 * m, *t3i = tw_im + 2 * m;
-    LR_SIMD_LOOP
-    for (std::size_t k = 0; k < m; ++k) {
-        Real a0r = re[k], a0i = im[k];
-        Real x1r = re[m + k], x1i = im[m + k];
-        Real x2r = re[2 * m + k], x2i = im[2 * m + k];
-        Real x3r = re[3 * m + k], x3i = im[3 * m + k];
-        Real a1r = x1r * t1r[k] - x1i * t1i[k];
-        Real a1i = x1r * t1i[k] + x1i * t1r[k];
-        Real a2r = x2r * t2r[k] - x2i * t2i[k];
-        Real a2i = x2r * t2i[k] + x2i * t2r[k];
-        Real a3r = x3r * t3r[k] - x3i * t3i[k];
-        Real a3i = x3r * t3i[k] + x3i * t3r[k];
-        // 4-point DFT with W_4 = -j (forward sign convention).
-        Real s0r = a0r + a2r, s0i = a0i + a2i;
-        Real s1r = a0r - a2r, s1i = a0i - a2i;
-        Real s2r = a1r + a3r, s2i = a1i + a3i;
-        Real s3r = a1r - a3r, s3i = a1i - a3i;
-        re[k] = s0r + s2r;
-        im[k] = s0i + s2i;
-        re[m + k] = s1r + s3i;
-        im[m + k] = s1i - s3r;
-        re[2 * m + k] = s0r - s2r;
-        im[2 * m + k] = s0i - s2i;
-        re[3 * m + k] = s1r - s3i;
-        im[3 * m + k] = s1i + s3r;
+    const std::size_t block = Block ? Block : block_n;
+    const Real w1r = Twiddled ? wr[0] : 1, w1i = Twiddled ? wi[0] : 0;
+    const Real w2r = Twiddled && P > 2 ? wr[1] : 1;
+    const Real w2i = Twiddled && P > 2 ? wi[1] : 0;
+    const Real w3r = Twiddled && P > 3 ? wr[2] : 1;
+    const Real w3i = Twiddled && P > 3 ? wi[2] : 0;
+    const Real w4r = Twiddled && P > 4 ? wr[3] : 1;
+    const Real w4i = Twiddled && P > 4 ? wi[3] : 0;
+    if constexpr (P == 2) {
+        LR_SIMD_LOOP
+        for (std::size_t k = 0; k < block; ++k) {
+            const Real ar = xr[k], ai = xi[k];
+            const Real br = xr[stride + k], bi = xi[stride + k];
+            Real y1r = ar - br, y1i = ai - bi;
+            twiddle<Twiddled>(y1r, y1i, w1r, w1i);
+            yr[k] = ar + br;
+            yi[k] = ai + bi;
+            yr[block + k] = y1r;
+            yi[block + k] = y1i;
+        }
+    } else if constexpr (P == 3) {
+        LR_SIMD_LOOP
+        for (std::size_t k = 0; k < block; ++k) {
+            Real x0r = xr[k], x0i = xi[k];
+            Real x1r = xr[stride + k], x1i = xi[stride + k];
+            Real x2r = xr[2 * stride + k], x2i = xi[2 * stride + k];
+            detail::butterfly3(x0r, x0i, x1r, x1i, x2r, x2i);
+            twiddle<Twiddled>(x1r, x1i, w1r, w1i);
+            twiddle<Twiddled>(x2r, x2i, w2r, w2i);
+            yr[k] = x0r;
+            yi[k] = x0i;
+            yr[block + k] = x1r;
+            yi[block + k] = x1i;
+            yr[2 * block + k] = x2r;
+            yi[2 * block + k] = x2i;
+        }
+    } else if constexpr (P == 4) {
+        LR_SIMD_LOOP
+        for (std::size_t k = 0; k < block; ++k) {
+            const Real a0r = xr[k], a0i = xi[k];
+            const Real a1r = xr[stride + k], a1i = xi[stride + k];
+            const Real a2r = xr[2 * stride + k], a2i = xi[2 * stride + k];
+            const Real a3r = xr[3 * stride + k], a3i = xi[3 * stride + k];
+            // 4-point DFT with W_4 = -j (forward sign convention).
+            const Real s0r = a0r + a2r, s0i = a0i + a2i;
+            const Real s1r = a0r - a2r, s1i = a0i - a2i;
+            const Real s2r = a1r + a3r, s2i = a1i + a3i;
+            const Real s3r = a1r - a3r, s3i = a1i - a3i;
+            Real y1r = s1r + s3i, y1i = s1i - s3r;
+            Real y2r = s0r - s2r, y2i = s0i - s2i;
+            Real y3r = s1r - s3i, y3i = s1i + s3r;
+            twiddle<Twiddled>(y1r, y1i, w1r, w1i);
+            twiddle<Twiddled>(y2r, y2i, w2r, w2i);
+            twiddle<Twiddled>(y3r, y3i, w3r, w3i);
+            yr[k] = s0r + s2r;
+            yi[k] = s0i + s2i;
+            yr[block + k] = y1r;
+            yi[block + k] = y1i;
+            yr[2 * block + k] = y2r;
+            yi[2 * block + k] = y2i;
+            yr[3 * block + k] = y3r;
+            yi[3 * block + k] = y3i;
+        }
+    } else {
+        static_assert(P == 5, "specialized radices are 2, 3, 4 and 5");
+        LR_SIMD_LOOP
+        for (std::size_t k = 0; k < block; ++k) {
+            Real x0r = xr[k], x0i = xi[k];
+            Real x1r = xr[stride + k], x1i = xi[stride + k];
+            Real x2r = xr[2 * stride + k], x2i = xi[2 * stride + k];
+            Real x3r = xr[3 * stride + k], x3i = xi[3 * stride + k];
+            Real x4r = xr[4 * stride + k], x4i = xi[4 * stride + k];
+            detail::butterfly5(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i, x4r,
+                               x4i);
+            twiddle<Twiddled>(x1r, x1i, w1r, w1i);
+            twiddle<Twiddled>(x2r, x2i, w2r, w2i);
+            twiddle<Twiddled>(x3r, x3i, w3r, w3i);
+            twiddle<Twiddled>(x4r, x4i, w4r, w4i);
+            yr[k] = x0r;
+            yi[k] = x0i;
+            yr[block + k] = x1r;
+            yi[block + k] = x1i;
+            yr[2 * block + k] = x2r;
+            yi[2 * block + k] = x2i;
+            yr[3 * block + k] = x3r;
+            yi[3 * block + k] = x3i;
+            yr[4 * block + k] = x4r;
+            yi[4 * block + k] = x4i;
+        }
     }
 }
 
+/**
+ * A whole specialized-radix pass: block j = 0 skips its unit twiddles.
+ * The first pass over a full bundle has single-element runs of
+ * kFftBundleLanes Reals, which run as a compile-time length.
+ */
+template <std::size_t P>
 void
-radix3Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-           std::size_t m)
+radixPass(std::size_t m, std::size_t block, const Real *x_re,
+          const Real *x_im, Real *y_re, Real *y_im, const Real *tw_re,
+          const Real *tw_im)
 {
-    const Real *t1r = tw_re, *t1i = tw_im;
-    const Real *t2r = tw_re + m, *t2i = tw_im + m;
-    LR_SIMD_LOOP
-    for (std::size_t k = 0; k < m; ++k) {
-        const Real b1r = re[m + k], b1i = im[m + k];
-        const Real b2r = re[2 * m + k], b2i = im[2 * m + k];
-        Real x0r = re[k], x0i = im[k];
-        Real x1r = b1r * t1r[k] - b1i * t1i[k];
-        Real x1i = b1r * t1i[k] + b1i * t1r[k];
-        Real x2r = b2r * t2r[k] - b2i * t2i[k];
-        Real x2i = b2r * t2i[k] + b2i * t2r[k];
-        detail::butterfly3(x0r, x0i, x1r, x1i, x2r, x2i);
-        re[k] = x0r;
-        im[k] = x0i;
-        re[m + k] = x1r;
-        im[m + k] = x1i;
-        re[2 * m + k] = x2r;
-        im[2 * m + k] = x2i;
+    const std::size_t stride = m * block;
+    auto blocks = [&](auto fixed) {
+        constexpr std::size_t B = decltype(fixed)::value;
+        butterflyBlock<P, false, B>(x_re, x_im, y_re, y_im, stride, block,
+                                    nullptr, nullptr);
+        for (std::size_t j = 1; j < m; ++j)
+            butterflyBlock<P, true, B>(
+                x_re + j * block, x_im + j * block, y_re + P * j * block,
+                y_im + P * j * block, stride, block, tw_re + j * (P - 1),
+                tw_im + j * (P - 1));
+    };
+    if (block == kFftBundleLanes)
+        blocks(std::integral_constant<std::size_t, kFftBundleLanes>{});
+    else
+        blocks(std::integral_constant<std::size_t, 0>{});
+}
+
+/**
+ * Generic radix: output u accumulates sum_t W_p^{tu} x_t as constant
+ * complex axpy sweeps straight into its output run, then takes its
+ * twiddle (w is null for the unit twiddles of block j = 0). Only the
+ * primes 7-31 land here.
+ */
+void
+genericBlock(std::size_t p, const Real *xr, const Real *xi, Real *yr,
+             Real *yi, std::size_t stride, std::size_t block, const Real *wr,
+             const Real *wi, const Real *root_re, const Real *root_im)
+{
+    for (std::size_t u = 0; u < p; ++u) {
+        Real *outr = yr + u * block;
+        Real *outi = yi + u * block;
+        LR_SIMD_LOOP
+        for (std::size_t k = 0; k < block; ++k) {
+            outr[k] = xr[k];
+            outi[k] = xi[k];
+        }
+        for (std::size_t t = 1; t < p; ++t) {
+            const Real cr = root_re[(t * u) % p], ci = root_im[(t * u) % p];
+            const Real *inr = xr + t * stride, *ini = xi + t * stride;
+            LR_SIMD_LOOP
+            for (std::size_t k = 0; k < block; ++k) {
+                outr[k] += inr[k] * cr - ini[k] * ci;
+                outi[k] += inr[k] * ci + ini[k] * cr;
+            }
+        }
+        if (wr == nullptr || u == 0)
+            continue;
+        const Real tr = wr[u - 1], ti = wi[u - 1];
+        LR_SIMD_LOOP
+        for (std::size_t k = 0; k < block; ++k)
+            twiddle<true>(outr[k], outi[k], tr, ti);
     }
 }
 
-void
-radix5Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-           std::size_t m)
-{
-    const Real *t1r = tw_re, *t1i = tw_im;
-    const Real *t2r = tw_re + m, *t2i = tw_im + m;
-    const Real *t3r = tw_re + 2 * m, *t3i = tw_im + 2 * m;
-    const Real *t4r = tw_re + 3 * m, *t4i = tw_im + 3 * m;
-    LR_SIMD_LOOP
-    for (std::size_t k = 0; k < m; ++k) {
-        const Real b1r = re[m + k], b1i = im[m + k];
-        const Real b2r = re[2 * m + k], b2i = im[2 * m + k];
-        const Real b3r = re[3 * m + k], b3i = im[3 * m + k];
-        const Real b4r = re[4 * m + k], b4i = im[4 * m + k];
-        Real x0r = re[k], x0i = im[k];
-        Real x1r = b1r * t1r[k] - b1i * t1i[k];
-        Real x1i = b1r * t1i[k] + b1i * t1r[k];
-        Real x2r = b2r * t2r[k] - b2i * t2i[k];
-        Real x2i = b2r * t2i[k] + b2i * t2r[k];
-        Real x3r = b3r * t3r[k] - b3i * t3i[k];
-        Real x3i = b3r * t3i[k] + b3i * t3r[k];
-        Real x4r = b4r * t4r[k] - b4i * t4i[k];
-        Real x4i = b4r * t4i[k] + b4i * t4r[k];
-        detail::butterfly5(x0r, x0i, x1r, x1i, x2r, x2i, x3r, x3i, x4r, x4i);
-        re[k] = x0r;
-        im[k] = x0i;
-        re[m + k] = x1r;
-        im[m + k] = x1i;
-        re[2 * m + k] = x2r;
-        im[2 * m + k] = x2i;
-        re[3 * m + k] = x3r;
-        im[3 * m + k] = x3i;
-        re[4 * m + k] = x4r;
-        im[4 * m + k] = x4i;
-    }
-}
+} // namespace
 
 void
-cmulSoa(Real *out_re, Real *out_im, const Real *a_re, const Real *a_im,
-        const Real *b_re, const Real *b_im, std::size_t n)
+stockhamPass(std::size_t p, std::size_t m, std::size_t block,
+             const Real *x_re, const Real *x_im, Real *y_re, Real *y_im,
+             const Real *tw_re, const Real *tw_im, const Real *root_re,
+             const Real *root_im)
 {
-    LR_SIMD_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-        Real ar = a_re[i], ai = a_im[i];
-        Real br = b_re[i], bi = b_im[i];
-        out_re[i] = ar * br - ai * bi;
-        out_im[i] = ar * bi + ai * br;
+    switch (p) {
+    case 2:
+        radixPass<2>(m, block, x_re, x_im, y_re, y_im, tw_re, tw_im);
+        return;
+    case 3:
+        radixPass<3>(m, block, x_re, x_im, y_re, y_im, tw_re, tw_im);
+        return;
+    case 4:
+        radixPass<4>(m, block, x_re, x_im, y_re, y_im, tw_re, tw_im);
+        return;
+    case 5:
+        radixPass<5>(m, block, x_re, x_im, y_re, y_im, tw_re, tw_im);
+        return;
+    default:
+        break;
     }
-}
-
-void
-caxpySoa(Real *y_re, Real *y_im, const Real *x_re, const Real *x_im,
-         Real c_re, Real c_im, std::size_t n)
-{
-    LR_SIMD_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-        Real xr = x_re[i], xi = x_im[i];
-        y_re[i] += xr * c_re - xi * c_im;
-        y_im[i] += xr * c_im + xi * c_re;
-    }
+    const std::size_t stride = m * block;
+    for (std::size_t j = 0; j < m; ++j)
+        genericBlock(p, x_re + j * block, x_im + j * block,
+                     y_re + p * j * block, y_im + p * j * block, stride,
+                     block, j == 0 ? nullptr : tw_re + j * (p - 1),
+                     j == 0 ? nullptr : tw_im + j * (p - 1), root_re,
+                     root_im);
 }
 
 void
@@ -189,28 +270,6 @@ cmulConjInterleaved(Real *a, const Real *b, std::size_t n)
         Real br = b[2 * i], bi = b[2 * i + 1];
         a[2 * i] = ar * br + ai * bi;
         a[2 * i + 1] = ai * br - ar * bi;
-    }
-}
-
-void
-cmulInterleavedOut(Real *dst, const Real *a, const Real *b, std::size_t n)
-{
-    LR_SIMD_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-        Real ar = a[2 * i], ai = a[2 * i + 1];
-        Real br = b[2 * i], bi = b[2 * i + 1];
-        dst[2 * i] = ar * br - ai * bi;
-        dst[2 * i + 1] = ar * bi + ai * br;
-    }
-}
-
-void
-interleave(const Real *re, const Real *im, Real *dst, std::size_t n)
-{
-    LR_SIMD_LOOP
-    for (std::size_t i = 0; i < n; ++i) {
-        dst[2 * i] = re[i];
-        dst[2 * i + 1] = im[i];
     }
 }
 

@@ -3,14 +3,16 @@
  * Inner-loop kernels of the FFT engine and element-wise complex math.
  *
  * The propagation hot path (FFT2 -> transfer-function Hadamard -> iFFT2)
- * spends essentially all of its time in a handful of inner loops: radix
- * butterflies (radix-2/3/4/5 specialized, other primes through generic
- * twiddle multiplies), Bluestein chirp products, and the element-wise
- * complex Hadamard multiply. This header exposes those loops as
- * structure-of-arrays (split real/imag) and interleaved-pair loops over
- * plain Real arithmetic with contiguous unit strides. std::complex
- * multiplies lower to __muldc3 (a libcall with inf/nan fixups) on
- * GCC/Clang, which blocks vectorization; these loops do not.
+ * spends essentially all of its time in a handful of inner loops: the
+ * Stockham passes of the FFT engine (radix-2/3/4/5 butterflies
+ * specialized, the primes 7-31 through a generic DFT) and the
+ * element-wise complex Hadamard multiply. A pass runs over a bundle of
+ * transforms held as split real/imag (structure-of-arrays) arrays with
+ * the lane index innermost, so its loops are unit-stride runs of at least
+ * the bundle's lane count; the Hadamard and sign loops run over
+ * interleaved (re, im) pairs. All of them are plain Real arithmetic:
+ * std::complex multiplies lower to __muldc3 (a libcall with inf/nan
+ * fixups) on GCC/Clang, which blocks vectorization; these loops do not.
  *
  * With the configure-time option LIGHTRIDGE_SIMD on (the default) the
  * loops carry `omp simd` annotations and the build adds -fopenmp-simd so
@@ -39,69 +41,54 @@ bool simdKernelsCompiled();
 inline constexpr Real kFftKernelTolerance = 1e-11;
 
 /**
+ * Transforms per bundle of the FFT engine. A bundle sits lane-innermost
+ * in split real/imag scratch, so every Stockham pass's inner loop spans
+ * kFftBundleLanes times the sub-transform count whatever the transform
+ * length. Single-thread FFT2 with 8 lanes beat 16 lanes at every grid
+ * from 32 to 200 points and beat 4 lanes at 32 and 64 (a tie at 96-128).
+ */
+inline constexpr std::size_t kFftBundleLanes = 8;
+
+/**
  * The vectorizable kernels themselves. All pointers must be non-aliasing
- * unless a parameter is documented as in/out; SoA variants take split
- * real/imag arrays, interleaved variants take (re, im) pairs as laid out
- * by std::complex<Real> arrays.
+ * unless a parameter is documented as in/out; stockhamPass takes split
+ * real/imag arrays, the others take (re, im) pairs as laid out by
+ * std::complex<Real> arrays.
  */
 namespace kernels {
 
 /**
- * Radix-2 butterfly pass over one combine block.
- * data layout: x0 = (re[k], im[k]), x1 = (re[m+k], im[m+k]), k in [0, m).
- * Computes x0' = x0 + tw[k]*x1, x1' = x0 - tw[k]*x1 in place.
+ * One radix-p pass of the Stockham (autosort) decimation-in-frequency
+ * schedule, out of place from x to y (x and y must not overlap).
+ *
+ * The pass splits each sub-transform of length p*m into p of length m.
+ * Element i of every sub-transform is a contiguous run of `block` Reals
+ * (the sub-transforms of the previous passes times the bundled
+ * transforms, lane innermost), so every inner loop covers a whole run:
+ *
+ *   y[(p*j + u)*block + k] =
+ *       W_{pm}^{j*u} * sum_t W_p^{t*u} * x[(j + t*m)*block + k]
+ *
+ * for j in [0, m), u in [0, p), k in [0, block), W_N = exp(-j*2*pi/N).
+ * tw holds the twiddles j-major, tw[j*(p-1) + u-1] = W_{pm}^{j*u} (row
+ * j = 0 is all ones and never read). p = 2, 3, 4, 5 run specialized
+ * butterflies; any other p runs a generic DFT over root[t] = W_p^t
+ * (root is unused for the specialized radices).
  */
-void radix2Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-                std::size_t m);
-
-/**
- * Radix-4 butterfly pass over one combine block of length 4m.
- * Twiddle arrays hold three unit-stride sub-tables of length m each:
- * tw_re[j*m + k] = Re(W_{4m}^{(j+1)k}) for j in {0,1,2}.
- */
-void radix4Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-                std::size_t m);
-
-/**
- * Radix-3 and radix-5 butterfly passes over one combine block of length
- * p*m, with the radix4Pass twiddle layout: p-1 unit-stride sub-tables,
- * tw_re[(j-1)*m + k] = Re(W_{pm}^{jk}) for j in 1..p-1. The p-point DFT
- * is the body the engine's twiddle-free 3- and 5-point leaves also use.
- */
-void radix3Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-                std::size_t m);
-void radix5Pass(Real *re, Real *im, const Real *tw_re, const Real *tw_im,
-                std::size_t m);
-
-/** out = a * b, element-wise complex multiply over split arrays. */
-void cmulSoa(Real *out_re, Real *out_im, const Real *a_re, const Real *a_im,
-             const Real *b_re, const Real *b_im, std::size_t n);
-
-/** y += c * x for a complex constant c over split arrays. */
-void caxpySoa(Real *y_re, Real *y_im, const Real *x_re, const Real *x_im,
-              Real c_re, Real c_im, std::size_t n);
+void stockhamPass(std::size_t p, std::size_t m, std::size_t block,
+                  const Real *x_re, const Real *x_im, Real *y_re,
+                  Real *y_im, const Real *tw_re, const Real *tw_im,
+                  const Real *root_re, const Real *root_im);
 
 /**
  * a *= b element-wise over interleaved complex arrays of n samples
  * (2n Reals). This is the transfer-function Hadamard multiply of the
- * propagator and the Bluestein chirp product.
+ * propagator.
  */
 void cmulInterleaved(Real *a, const Real *b, std::size_t n);
 
 /** a *= conj(b) element-wise over interleaved complex arrays. */
 void cmulConjInterleaved(Real *a, const Real *b, std::size_t n);
-
-/**
- * dst = a * b element-wise over interleaved complex arrays (out of
- * place; dst must not alias a or b). Used where the product lands in a
- * different buffer anyway — the Bluestein chirp products — to avoid a
- * copy-then-multiply double pass.
- */
-void cmulInterleavedOut(Real *dst, const Real *a, const Real *b,
-                        std::size_t n);
-
-/** Merge re[]/im[] back into n interleaved complex samples. */
-void interleave(const Real *re, const Real *im, Real *dst, std::size_t n);
 
 /**
  * dst = +/- src over n interleaved complex samples with the sign

@@ -1,6 +1,7 @@
 #include "utils/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -163,11 +164,16 @@ class Parser
                 text_[pos_] == 'E' || text_[pos_] == '+' ||
                 text_[pos_] == '-'))
             ++pos_;
-        try {
-            return Json(std::stod(text_.substr(start, pos_ - start)));
-        } catch (const std::exception &) {
+        // The token parses in place and must be consumed whole ("1-2",
+        // "1e5e5" and "0.5.5" are not numbers). Values out of double range
+        // (1e999, 1e-400) are errors; subnormals parse.
+        const char *first = text_.data() + start;
+        const char *last = text_.data() + pos_;
+        double value = 0;
+        const auto [end, ec] = std::from_chars(first, last, value);
+        if (ec != std::errc() || end != last)
             fail("bad number");
-        }
+        return Json(value);
     }
 
     Json

@@ -157,16 +157,17 @@ TEST(Fft2d, RoundTrip)
 
 TEST(Fft2d, MatchesSeparableNaiveDft)
 {
-    // 15x20 and 25x9 run 3- and 5-point leaves and radix-3/5 passes on
-    // both axes, and their widths leave a partial 8-column tile in the
-    // column pass. 12x10 runs radix-2/5 rows and radix-4/3 columns, and
-    // the 37-point columns of 37x12 take the Bluestein path.
+    // 15x20 and 25x9 run radix-3/5 passes on both axes, and both sides
+    // of each leave a partial bundle of fewer than 8 transforms. 12x10
+    // runs radix-2/5 rows and radix-4/3 columns, the 37-point columns of
+    // 37x12 take the Bluestein path, and the 3 rows of 3x50 are a single
+    // bundle shorter than 8.
     struct Shape
     {
         std::size_t rows, cols;
     };
     for (const Shape shape : {Shape{8, 8}, Shape{15, 20}, Shape{25, 9},
-                              Shape{12, 10}, Shape{37, 12}}) {
+                              Shape{12, 10}, Shape{37, 12}, Shape{3, 50}}) {
         SCOPED_TRACE(std::to_string(shape.rows) + "x" +
                      std::to_string(shape.cols));
         Fft2d fft(shape.rows, shape.cols);

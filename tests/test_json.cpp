@@ -51,6 +51,10 @@ TEST(Json, RoundTripsThroughDump)
     EXPECT_DOUBLE_EQ(k.at("pixel").asNumber(), 3.6e-5);
     EXPECT_EQ(k.at("flags").asArray()[0].asBool(), true);
     EXPECT_TRUE(k.at("flags").asArray()[2].isNull());
+
+    // The smallest subnormal survives dump() and parses back exactly.
+    const double subnormal = 4.9406564584124654e-324;
+    EXPECT_EQ(Json::parse(Json(subnormal).dump()).asNumber(), subnormal);
 }
 
 TEST(Json, PreservesDoublePrecision)
@@ -77,6 +81,14 @@ TEST(Json, MalformedInputThrows)
     EXPECT_THROW(Json::parse("nul"), JsonError);
     EXPECT_THROW(Json::parse("\"unterminated"), JsonError);
     EXPECT_THROW(Json::parse("{}extra"), JsonError);
+
+    // A number token must parse whole ("1-2" is not [1], "1e5e5" is not
+    // [100000]), and values outside double range are errors.
+    EXPECT_THROW(Json::parse("[1-2]"), JsonError);
+    EXPECT_THROW(Json::parse("[1e5e5]"), JsonError);
+    EXPECT_THROW(Json::parse("[0.5.5]"), JsonError);
+    EXPECT_THROW(Json::parse("[1e999]"), JsonError);
+    EXPECT_THROW(Json::parse("[1e-400]"), JsonError);
 
     // Nesting is capped at Json::kMaxDepth: hostile depth is a typed
     // error, not a stack overflow, and the limit itself still parses.

@@ -527,6 +527,7 @@ class PoisonedTask : public ClassificationTask
     using ClassificationTask::ClassificationTask;
 
     std::size_t poison_index = static_cast<std::size_t>(-1);
+    bool poison_loss = true; // false: the gradient alone goes non-finite
 
   protected:
     SampleResult
@@ -534,7 +535,8 @@ class PoisonedTask : public ClassificationTask
     {
         SampleResult result = ClassificationTask::sampleStep(model, index);
         if (index == poison_index) {
-            result.loss = std::nan("");
+            if (poison_loss)
+                result.loss = std::nan("");
             (*model.params()[0].grad)[0] = std::nan("");
         }
         return result;
@@ -571,6 +573,44 @@ TEST(SessionBehaviour, NonFiniteLossStopsBeforeTheOptimizerStep)
         // reached the parameters.
         for (Real v : *task.params()[0].value)
             ASSERT_TRUE(std::isfinite(v));
+    }
+}
+
+TEST(SessionBehaviour, NonFiniteGradientStopsBeforeTheOptimizerStep)
+{
+    ClassDataset train = makeSynthDigits(16, 1);
+    for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+        SCOPED_TRACE(workers);
+        DonnModel model = classModel(3);
+        TrainConfig cfg;
+        cfg.batch = 4;
+        cfg.shuffle = false; // sample 2 lands in batch 0
+        cfg.workers = workers;
+        PoisonedTask task(model, train);
+        Session session(task, cfg);
+        session.trainEpoch(); // epoch 0 trains clean
+        std::vector<std::vector<Real>> before;
+        for (const ParamView &param : task.params())
+            before.push_back(*param.value);
+
+        task.poison_index = 2;
+        task.poison_loss = false;
+        try {
+            session.trainEpoch();
+            FAIL() << "expected a non-finite gradient error";
+        } catch (const std::runtime_error &e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find("non-finite gradient"), std::string::npos)
+                << what;
+            EXPECT_NE(what.find("epoch 1, batch 0"), std::string::npos)
+                << what;
+        }
+        // The loss stayed finite, yet the first batch of the epoch never
+        // stepped: every parameter is exactly as epoch 0 left it.
+        const std::vector<ParamView> after = task.params();
+        ASSERT_EQ(after.size(), before.size());
+        for (std::size_t p = 0; p < after.size(); ++p)
+            ASSERT_EQ(*after[p].value, before[p]) << after[p].name;
     }
 }
 
