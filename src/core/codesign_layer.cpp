@@ -31,10 +31,7 @@ CodesignLayer::CodesignLayer(const CodesignLayer &other)
     : propagator_(other.propagator_), lut_(other.lut_), tau_(other.tau_),
       gamma_(other.gamma_), rng_(other.rng_), logits_(other.logits_),
       logits_grad_(other.logits_grad_),
-      infer_modulation_(other.publishedModulation()),
-      cached_probs_(other.cached_probs_),
-      cached_diffracted_(other.cached_diffracted_),
-      cached_modulation_(other.cached_modulation_)
+      infer_modulation_(other.publishedModulation())
 {}
 
 std::shared_ptr<const CodesignLayer::InferModulation>

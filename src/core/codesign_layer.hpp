@@ -38,7 +38,11 @@ class CodesignLayer : public Layer
                   DeviceLut lut, Real tau = 1.0, Real gamma = 1.0,
                   Rng *rng = nullptr);
 
-    /** Copy shares the (immutable) published argmax-LUT table. */
+    /**
+     * Copy carries the logits, their gradients and the (immutable)
+     * published argmax-LUT table; the training caches start empty and
+     * fill on the next forward.
+     */
     CodesignLayer(const CodesignLayer &other);
 
     std::string kind() const override { return "codesign"; }

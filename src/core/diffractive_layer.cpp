@@ -30,12 +30,7 @@ DiffractiveLayer::DiffractiveLayer(
 DiffractiveLayer::DiffractiveLayer(const DiffractiveLayer &other)
     : propagator_(other.propagator_), gamma_(other.gamma_),
       phase_(other.phase_), phase_grad_(other.phase_grad_),
-      modulation_(other.modulation_),
-      modulation_conj_(other.modulation_conj_),
-      modulation_phase_(other.modulation_phase_),
-      infer_modulation_(other.publishedModulation()),
-      cached_diffracted_(other.cached_diffracted_),
-      cached_out_(other.cached_out_)
+      infer_modulation_(other.publishedModulation())
 {}
 
 std::shared_ptr<const DiffractiveLayer::InferModulation>
@@ -54,11 +49,8 @@ DiffractiveLayer::ensureModulation()
                     size * sizeof(Real)) == 0)
         return;
     ensureFieldShape(modulation_, phase_.rows(), phase_.cols());
-    ensureFieldShape(modulation_conj_, phase_.rows(), phase_.cols());
-    for (std::size_t i = 0; i < size; ++i) {
+    for (std::size_t i = 0; i < size; ++i)
         modulation_[i] = std::polar(Real(1), phase_[i]);
-        modulation_conj_[i] = std::polar(Real(1), -phase_[i]);
-    }
     modulation_phase_ = phase_;
 }
 
@@ -149,10 +141,11 @@ DiffractiveLayer::backwardInPlace(Field &g, PropagationWorkspace &workspace)
     // times conj(e^{j eps}) when a phase screen was applied.
     if (p && p->has_noise) {
         for (std::size_t i = 0; i < g.size(); ++i)
-            g[i] = g[i] * gamma_ * modulation_conj_[i] * p->noise_conj[i];
+            g[i] = g[i] * gamma_ * std::conj(modulation_[i]) *
+                   p->noise_conj[i];
     } else {
         for (std::size_t i = 0; i < g.size(); ++i)
-            g[i] = g[i] * gamma_ * modulation_conj_[i];
+            g[i] = g[i] * gamma_ * std::conj(modulation_[i]);
     }
 
     propagator_->adjointInto(g, g, workspace, p ? &p->hop : nullptr);

@@ -31,7 +31,11 @@ class DiffractiveLayer : public Layer
     DiffractiveLayer(std::shared_ptr<const Propagator> propagator,
                      Real gamma = 1.0, Rng *rng = nullptr);
 
-    /** Copy shares the (immutable) published infer-modulation table. */
+    /**
+     * Copy carries the phases, their gradients and the (immutable)
+     * published infer-modulation table; the training modulation table
+     * and activation caches start empty and fill on first use.
+     */
     DiffractiveLayer(const DiffractiveLayer &other);
 
     std::string kind() const override { return "diffractive"; }
@@ -64,12 +68,13 @@ class DiffractiveLayer : public Layer
 
   private:
     /**
-     * Rebuild the cached modulation tables exp(j*phi) / exp(-j*phi) if
-     * the phase mask changed since they were built (bitwise snapshot
-     * compare). Evaluating sincos over the full mask per sample
-     * dominated the train step; with the cache it runs once per
-     * optimizer step. Values are the exact std::polar results the
-     * uncached loops produced, so training stays bitwise-identical.
+     * Rebuild the cached modulation table exp(j*phi) if the phase mask
+     * changed since it was built (bitwise snapshot compare). Evaluating
+     * sincos over the full mask per sample dominated the train step;
+     * with the cache it runs once per optimizer step. Values are the
+     * exact std::polar results the uncached loops produced, so training
+     * stays bitwise-identical; backward uses their conjugates, which
+     * equal std::polar(1, -phi) bit for bit (sin is odd, cos even).
      * Training-path only: inferInPlace() reads the mutex-guarded
      * inferModulation() table instead, so it stays safe for concurrent
      * use of a shared instance.
@@ -108,8 +113,7 @@ class DiffractiveLayer : public Layer
 
     // Modulation cache (training only; see ensureModulation()).
     Field modulation_;
-    Field modulation_conj_;
-    RealMap modulation_phase_; ///< snapshot the tables were built from
+    RealMap modulation_phase_; ///< snapshot the table was built from
 
     // Shared-instance inference cache (see inferModulation()).
     mutable Mutex infer_cache_mutex_;

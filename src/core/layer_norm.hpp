@@ -35,9 +35,10 @@ class LayerNormLayer : public Layer
     void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
     /** Inference is the identity: the optical system cannot normalize. */
     void inferInPlace(Field &, PropagationWorkspace &) const override {}
+    /** Same settings, no cached normalization (per-sample scratch). */
     LayerPtr clone() const override
     {
-        return std::make_unique<LayerNormLayer>(*this);
+        return std::make_unique<LayerNormLayer>(eps_, subtract_mean_);
     }
     Json toJson() const override;
 

@@ -189,8 +189,11 @@ class DonnModel
 
     /**
      * Deep copy sharing the (immutable) propagators: layers and detector
-     * are cloned, parameters and gradients copied. Replicas train
-     * independently; see Session for the data-parallel batch recipe.
+     * are cloned. A clone carries parameters, gradients and calibration,
+     * not the layers' per-sample scratch (activation caches, training
+     * modulation tables), which refills on its first training pass.
+     * Replicas train independently; see Session for the data-parallel
+     * batch recipe.
      */
     DonnModel clone() const;
 

@@ -61,9 +61,9 @@ class MultiChannelDonn
     void zeroGrad();
 
     /**
-     * Deep copy: every channel stack is cloned (parameters and gradients
-     * copied, propagators shared). Replicas train independently; the
-     * data-parallel RgbTask builds one per worker.
+     * Deep copy: every channel stack is cloned (see DonnModel::clone;
+     * propagators shared). Replicas train independently; the
+     * data-parallel RgbTask builds one per worker past worker 0.
      */
     MultiChannelDonn clone() const;
 

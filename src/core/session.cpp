@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
@@ -15,17 +14,6 @@
 namespace lightridge {
 
 namespace {
-
-/** Shuffled index order for one epoch (null-stream tasks). */
-std::vector<std::size_t>
-epochOrder(std::size_t n, bool shuffle, Rng *rng)
-{
-    std::vector<std::size_t> order(n);
-    std::iota(order.begin(), order.end(), std::size_t{0});
-    if (shuffle)
-        std::shuffle(order.begin(), order.end(), rng->engine());
-    return order;
-}
 
 /** Scoped source epoch: beginEpoch now, endEpoch on every exit path. */
 struct StreamEpochGuard
@@ -54,6 +42,8 @@ struct StreamEpochGuard
 Session::Session(Task &task, TrainConfig config)
     : task_(task), config_(config), optimizer_(config.lr), rng_(config.seed)
 {
+    if (config_.batch == 0)
+        throw std::invalid_argument("TrainConfig::batch must be at least 1");
     task_.configure(config_);
     optimizer_.attach(task_.params());
 }
@@ -100,22 +90,105 @@ Session::trainEpoch()
 {
     ++epoch_counter_;
     mid_history_.clear();
+    // An empty training set resolves to 0 workers; it trains zero batches.
     const std::size_t workers =
-        resolveWorkers(config_, task_.trainSize());
+        std::max<std::size_t>(resolveWorkers(config_, task_.trainSize()), 1);
     // Two-level order (shard permutation, then intra-shard permutations)
     // drawn from the session rng: a single-shard layout — every in-memory
-    // task — consumes the rng exactly like the historical flat shuffle,
-    // and any two sources with the same shard layout get the same order.
+    // task, and a task with no stream — consumes the rng exactly like a
+    // flat shuffle, and any two sources with the same shard layout get
+    // the same order.
     DataSource *stream = task_.trainStream();
-    std::vector<std::size_t> order =
-        stream != nullptr ? twoLevelEpochOrder(stream->shardSizes(),
-                                               config_.shuffle, &rng_)
-                          : epochOrder(task_.trainSize(), config_.shuffle,
-                                       &rng_);
+    const std::vector<std::size_t> order = twoLevelEpochOrder(
+        stream != nullptr ? stream->shardSizes()
+                          : std::vector<std::size_t>{task_.trainSize()},
+        config_.shuffle, &rng_);
     StreamEpochGuard epoch_guard(stream, &order);
-    if (workers >= 2)
-        return trainEpochParallel(order, workers);
-    return trainEpochSerial(order);
+
+    EpochStats stats;
+    WallTimer timer;
+
+    // Worker 0 trains the primary model; worker w >= 1 trains replica
+    // w - 1, cloned here with the current parameters and calibration.
+    task_.buildReplicas(replicaSeeds(workers - 1));
+    const std::vector<ParamView> main_params = task_.params();
+    ThreadPool &pool = ThreadPool::global();
+
+    const bool perturbed = task_.perturbationActive();
+    std::size_t correct = 0;
+    std::vector<Real> loss_part(workers);
+    std::vector<std::size_t> correct_part(workers);
+    task_.zeroGrad();
+
+    for (std::size_t start = 0; start < order.size();
+         start += config_.batch) {
+        const std::size_t batch_index = start / config_.batch;
+        const std::size_t batch =
+            std::min(config_.batch, order.size() - start);
+        const std::size_t active = std::min(workers, batch);
+
+        // The pool is idle here, so staging the batch's shards and
+        // rewriting the shared misalignment realization are race-free;
+        // workers read both concurrently below.
+        if (stream != nullptr)
+            stream->stageRange(start, start + batch);
+        if (perturbed)
+            task_.samplePerturbation(perturbationSeed(batch_index));
+
+        std::fill(loss_part.begin(), loss_part.end(), Real(0));
+        std::fill(correct_part.begin(), correct_part.end(), std::size_t{0});
+
+        // Round-robin sample assignment: worker w trains samples
+        // w, w+active, ... of the batch, sequentially (each layer caches
+        // one sample's activations between forward and backward). One
+        // active worker runs inline on this thread.
+        pool.parallelFor(active, [&](std::size_t w) {
+            for (std::size_t j = w; j < batch; j += active) {
+                const std::size_t index = order[start + j];
+                SampleResult sample = w == 0
+                                          ? task_.trainSample(index)
+                                          : task_.trainSampleOn(w - 1, index);
+                loss_part[w] += sample.loss;
+                if (sample.hit)
+                    ++correct_part[w];
+            }
+        });
+
+        // Merge in fixed worker order (deterministic for a given worker
+        // count): worker 0's gradients are already in the primary, each
+        // replica's add on top. Then step and redistribute parameters.
+        for (std::size_t w = 0; w < active; ++w) {
+            stats.train_loss += loss_part[w];
+            correct += correct_part[w];
+            if (w == 0)
+                continue;
+            std::vector<ParamView> rep_params = task_.replicaParams(w - 1);
+            for (std::size_t p = 0; p < main_params.size(); ++p) {
+                const std::vector<Real> &src = *rep_params[p].grad;
+                std::vector<Real> &dst = *main_params[p].grad;
+                for (std::size_t i = 0; i < dst.size(); ++i)
+                    dst[i] += src[i];
+            }
+            task_.zeroReplicaGrad(w - 1);
+        }
+        requireFiniteLoss(stats.train_loss, batch_index);
+        requireFiniteGradients(main_params, batch_index);
+        optimizer_.step();
+        task_.zeroGrad();
+        if (workers > 1)
+            task_.syncReplicas();
+        if (devEvalDue(batch_index))
+            midEpochEval(stats.train_loss, correct, start + batch,
+                         batch_index, timer.seconds());
+    }
+    if (perturbed)
+        task_.clearPerturbation();
+
+    const std::size_t n = std::max<std::size_t>(order.size(), 1);
+    stats.train_loss /= n;
+    stats.train_acc = static_cast<Real>(correct) / n;
+    stats.seconds = timer.seconds();
+    return stats;
 }
 
 uint64_t
@@ -133,13 +206,13 @@ Session::perturbationDrawSeed(uint64_t seed, int epoch,
 }
 
 std::vector<uint64_t>
-Session::replicaSeeds(std::size_t workers) const
+Session::replicaSeeds(std::size_t count) const
 {
     // Per-epoch replica seeds: epoch and replica index occupy disjoint
     // bit ranges so no two (epoch, replica) pairs ever alias to the same
     // noise stream.
-    std::vector<uint64_t> seeds(workers);
-    for (std::size_t r = 0; r < workers; ++r) {
+    std::vector<uint64_t> seeds(count);
+    for (std::size_t r = 0; r < count; ++r) {
         uint64_t tag = (static_cast<uint64_t>(epoch_counter_) << 32) |
                        static_cast<uint64_t>(r + 1);
         seeds[r] = config_.seed ^ (0x9e3779b97f4a7c15ull * tag);
@@ -211,140 +284,6 @@ Session::midEpochEval(Real loss_sum, std::size_t correct, std::size_t seen,
     mid_history_.push_back(stats);
     for (Callback &callback : callbacks_)
         callback(stats, *this);
-}
-
-EpochStats
-Session::trainEpochSerial(const std::vector<std::size_t> &order)
-{
-    EpochStats stats;
-    WallTimer timer;
-
-    const std::vector<ParamView> params = task_.params();
-    DataSource *stream = task_.trainStream();
-    const bool perturbed = task_.perturbationActive();
-    std::size_t correct = 0;
-    std::size_t in_batch = 0;
-    task_.zeroGrad();
-    for (std::size_t i = 0; i < order.size(); ++i) {
-        if (in_batch == 0) {
-            if (stream != nullptr)
-                stream->stageRange(
-                    i, std::min(i + config_.batch, order.size()));
-            if (perturbed)
-                task_.samplePerturbation(
-                    perturbationSeed(i / config_.batch));
-        }
-        SampleResult sample = task_.trainSample(order[i]);
-        stats.train_loss += sample.loss;
-        if (sample.hit)
-            ++correct;
-        if (++in_batch == config_.batch) {
-            requireFiniteLoss(stats.train_loss, i / config_.batch);
-            requireFiniteGradients(params, i / config_.batch);
-            optimizer_.step();
-            task_.zeroGrad();
-            in_batch = 0;
-            if (devEvalDue(i / config_.batch))
-                midEpochEval(stats.train_loss, correct, i + 1,
-                             i / config_.batch, timer.seconds());
-        }
-    }
-    if (in_batch > 0) {
-        requireFiniteLoss(stats.train_loss, order.size() / config_.batch);
-        requireFiniteGradients(params, order.size() / config_.batch);
-        optimizer_.step();
-        task_.zeroGrad();
-    }
-    if (perturbed)
-        task_.clearPerturbation();
-    const std::size_t n = std::max<std::size_t>(order.size(), 1);
-    stats.train_loss /= n;
-    stats.train_acc = static_cast<Real>(correct) / n;
-    stats.seconds = timer.seconds();
-    return stats;
-}
-
-EpochStats
-Session::trainEpochParallel(const std::vector<std::size_t> &order,
-                            std::size_t workers)
-{
-    EpochStats stats;
-    WallTimer timer;
-
-    task_.buildReplicas(replicaSeeds(workers)); // clones carry current
-                                                // params/calibration
-    std::vector<ParamView> main_params = task_.params();
-    ThreadPool &pool = ThreadPool::global();
-
-    DataSource *stream = task_.trainStream();
-    const bool perturbed = task_.perturbationActive();
-    std::size_t correct = 0;
-    std::vector<Real> loss_part(workers);
-    std::vector<std::size_t> correct_part(workers);
-    task_.zeroGrad();
-
-    for (std::size_t start = 0; start < order.size();
-         start += config_.batch) {
-        const std::size_t batch =
-            std::min(config_.batch, order.size() - start);
-        const std::size_t active = std::min(workers, batch);
-
-        // The pool is idle here, so staging the batch's shards and
-        // rewriting the shared misalignment realization are race-free;
-        // workers read both concurrently below.
-        if (stream != nullptr)
-            stream->stageRange(start, start + batch);
-        if (perturbed)
-            task_.samplePerturbation(
-                perturbationSeed(start / config_.batch));
-
-        std::fill(loss_part.begin(), loss_part.end(), Real(0));
-        std::fill(correct_part.begin(), correct_part.end(), std::size_t{0});
-
-        // Round-robin sample assignment: replica r trains samples
-        // r, r+active, ... of the batch, sequentially (each layer caches
-        // one sample's activations between forward and backward).
-        pool.parallelFor(active, [&](std::size_t r) {
-            for (std::size_t j = r; j < batch; j += active) {
-                SampleResult sample =
-                    task_.trainSampleOn(r, order[start + j]);
-                loss_part[r] += sample.loss;
-                if (sample.hit)
-                    ++correct_part[r];
-            }
-        });
-
-        // Merge replica gradients in fixed replica order (deterministic
-        // for a given worker count), step, and redistribute parameters.
-        for (std::size_t r = 0; r < active; ++r) {
-            stats.train_loss += loss_part[r];
-            correct += correct_part[r];
-            std::vector<ParamView> rep_params = task_.replicaParams(r);
-            for (std::size_t p = 0; p < main_params.size(); ++p) {
-                const std::vector<Real> &src = *rep_params[p].grad;
-                std::vector<Real> &dst = *main_params[p].grad;
-                for (std::size_t i = 0; i < dst.size(); ++i)
-                    dst[i] += src[i];
-            }
-            task_.zeroReplicaGrad(r);
-        }
-        requireFiniteLoss(stats.train_loss, start / config_.batch);
-        requireFiniteGradients(main_params, start / config_.batch);
-        optimizer_.step();
-        task_.zeroGrad();
-        task_.syncReplicas();
-        if (devEvalDue(start / config_.batch))
-            midEpochEval(stats.train_loss, correct, start + batch,
-                         start / config_.batch, timer.seconds());
-    }
-    if (perturbed)
-        task_.clearPerturbation();
-
-    const std::size_t n = std::max<std::size_t>(order.size(), 1);
-    stats.train_loss /= n;
-    stats.train_acc = static_cast<Real>(correct) / n;
-    stats.seconds = timer.seconds();
-    return stats;
 }
 
 std::vector<EpochStats>

@@ -5,11 +5,12 @@
  * One Session implements the recipe formerly copy-pasted across three
  * trainers: the physics-aware calibration pass, Gumbel-softmax tau
  * annealing, the shuffled epoch loop with per-batch Adam steps, per-epoch
- * callbacks (logging / early stop / checkpointing), and the shared
- * data-parallel replica loop — per-worker model replicas propagate
- * disjoint slices of each batch and their gradients are merged in fixed
- * replica order before every optimizer step, so classification,
- * segmentation, and RGB training all parallelize identically.
+ * callbacks (logging / early stop / checkpointing), and one data-parallel
+ * epoch loop. Worker 0 trains the primary model and worker w >= 1 a
+ * replica of it; the workers propagate disjoint slices of each batch, and
+ * the replicas' gradients are merged in fixed worker order before every
+ * optimizer step, so classification, segmentation, and RGB training all
+ * parallelize identically. One worker clones nothing.
  */
 #pragma once
 
@@ -35,6 +36,7 @@ class Session
     /**
      * @param task workload to train; must outlive the session
      * @param config hyperparameters (also forwarded to the task)
+     * @throws std::invalid_argument when config.batch is 0
      */
     Session(Task &task, TrainConfig config);
     ~Session();
@@ -53,9 +55,11 @@ class Session
     void calibrate();
 
     /**
-     * One pass over the training set; returns loss/accuracy. Runs the
-     * data-parallel replica loop when config.workers allows (see
-     * TrainConfig::workers), otherwise the reference serial loop.
+     * One pass over the training set; returns loss/accuracy. Worker 0
+     * trains the primary model and workers 1..W-1 train replicas cloned
+     * at the start of the epoch (W from resolveWorkers(), at least 1);
+     * the epoch loss sums each batch's per-worker loss sums in worker
+     * order.
      * @throws std::runtime_error when a batch's loss is not finite
      *         (checked before that batch's optimizer step, so no NaN
      *         reaches the parameters)
@@ -84,16 +88,15 @@ class Session
      * Seed of the misalignment draw for one batch of vaccinated
      * training: a pure function of (train seed, epoch, batch index),
      * mixed on a stream constant disjoint from the replica-seed stream.
-     * Independent of worker count and schedule (serial / parallel),
-     * so the drawn error sequence is too. Exposed static for the
-     * determinism tests.
+     * Independent of worker count, so the drawn error sequence is too.
+     * Exposed static for the determinism tests.
      */
     static uint64_t perturbationDrawSeed(uint64_t seed, int epoch,
                                          std::size_t batch_index);
 
   private:
     void annealTau(int epoch);
-    std::vector<uint64_t> replicaSeeds(std::size_t workers) const;
+    std::vector<uint64_t> replicaSeeds(std::size_t count) const;
     uint64_t perturbationSeed(std::size_t batch_index) const
     {
         return perturbationDrawSeed(config_.seed, epoch_counter_,
@@ -103,7 +106,7 @@ class Session
     /**
      * Throw std::runtime_error naming the epoch and batch when the
      * running loss sum is not finite. Called on the main thread before
-     * every optimizer step, when no replica job is in flight.
+     * every optimizer step, when no worker is in flight.
      */
     void requireFiniteLoss(Real loss_sum, std::size_t batch_index) const;
 
@@ -127,10 +130,6 @@ class Session
      */
     void midEpochEval(Real loss_sum, std::size_t correct, std::size_t seen,
                       std::size_t batch_index, double seconds);
-
-    EpochStats trainEpochSerial(const std::vector<std::size_t> &order);
-    EpochStats trainEpochParallel(const std::vector<std::size_t> &order,
-                                  std::size_t workers);
 
     Task &task_;
     TrainConfig config_;

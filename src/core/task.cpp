@@ -77,9 +77,9 @@ DonnTaskBase::Replica::Replica(const DonnModel &source, uint64_t seed)
 {
     // clone() copies rng_ pointers as-is; point every noise-enabled
     // codesign layer (skip interiors included) at this replica's own
-    // source instead, so replicas never share the session's
-    // (non-thread-safe) rng. Noiseless layers stay noiseless, matching
-    // the serial path exactly.
+    // source instead, so a replica never shares the primary's
+    // (non-thread-safe) rng with worker 0. Noiseless layers stay
+    // noiseless, matching the primary exactly.
     bindModelNoiseRng(model, &rng);
     params = model.params();
 }

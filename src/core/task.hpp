@@ -58,16 +58,17 @@ struct TrainConfig
 
     /**
      * Data-parallel workers per batch: independent samples of one batch
-     * propagate concurrently on per-worker model replicas, and their
-     * gradients are merged (in fixed replica order) before each optimizer
-     * step. 0 sizes from the global thread pool; 1 forces the serial loop.
+     * propagate concurrently, worker 0 on the primary model and each
+     * other worker on its own replica, and the replica gradients are
+     * merged (in fixed worker order) before each optimizer step. 0 sizes
+     * from the global thread pool; 1 trains on the calling thread with no
+     * replica.
      *
      * Results are deterministic for a fixed worker count, but gradient
      * accumulation order (and per-replica noise streams) depend on it, so
      * runs on machines with different core counts diverge under the
-     * default 0. Set workers explicitly (1 = the bit-reproducible serial
-     * reference) when cross-machine reproducibility matters more than
-     * throughput.
+     * default 0. Set workers explicitly when cross-machine
+     * reproducibility matters more than throughput.
      */
     std::size_t workers = 0;
 
@@ -126,9 +127,11 @@ struct TaskMetrics
  * The contract mirrors the shared trainer recipe: the Session shuffles
  * sample indices, asks the task to run forward/backward per sample
  * (accumulating parameter gradients), steps its optimizer over params(),
- * and reduces test metrics through evaluate(). For the data-parallel
- * path the task materializes N independent replicas; replica gradients
- * are merged into the primary model in fixed order.
+ * and reduces test metrics through evaluate(). At W workers the task
+ * materializes W-1 independent replicas: worker 0 trains the primary
+ * through trainSample(), worker w >= 1 replica w-1 through
+ * trainSampleOn(), and replica gradients are merged into the primary in
+ * fixed order.
  */
 class Task
 {
@@ -167,10 +170,14 @@ class Task
     /** Zero the primary model's parameter gradients. */
     virtual void zeroGrad() = 0;
 
-    /** Forward/backward one training sample on the primary model. */
+    /**
+     * Forward/backward one training sample on the primary model. Like
+     * trainSampleOn(), it may run on a pool thread, concurrently with the
+     * replicas' samples of the same batch.
+     */
     virtual SampleResult trainSample(std::size_t index) = 0;
 
-    /** Build per-worker model replicas (one seed per replica). */
+    /** Build the replicas of workers 1..W-1 (one seed per replica). */
     virtual void buildReplicas(const std::vector<uint64_t> &seeds) = 0;
 
     /** Number of live replicas. */
@@ -248,7 +255,7 @@ std::vector<const Propagator *> modelLayerHops(const DonnModel &model);
  * Shared replica machinery for tasks whose primary model is a DonnModel
  * (classification, segmentation). Derived tasks implement sampleStep()
  * against whichever model instance (primary or replica) the Session
- * schedules.
+ * schedules; both may run on pool threads at once.
  */
 class DonnTaskBase : public Task
 {
@@ -303,10 +310,11 @@ class DonnTaskBase : public Task
     virtual SampleResult sampleStep(DonnModel &model, std::size_t index) = 0;
 
     /**
-     * One data-parallel training worker: a full model replica (parameters
-     * copied, propagators shared) plus a private noise source so Gumbel
-     * sampling never races across threads. Parameter views are cached
-     * because the layer set of a replica is fixed.
+     * The model of one data-parallel worker past worker 0: a full model
+     * replica (parameters copied, propagators shared) plus a private
+     * noise source so Gumbel sampling never races across threads.
+     * Parameter views are cached because the layer set of a replica is
+     * fixed.
      */
     struct Replica
     {

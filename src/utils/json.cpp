@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string_view>
 
 namespace lightridge {
 
@@ -152,21 +153,55 @@ class Parser
         }
     }
 
+    /** Consume `c` if it is next. */
+    bool
+    accept(char c)
+    {
+        if (pos_ < text_.size() && text_[pos_] == c) {
+            ++pos_;
+            return true;
+        }
+        return false;
+    }
+
+    /** Consume a run of decimal digits; false when there was none. */
+    bool
+    acceptDigits()
+    {
+        const std::size_t start = pos_;
+        while (pos_ < text_.size() &&
+               std::isdigit(static_cast<unsigned char>(text_[pos_])))
+            ++pos_;
+        return pos_ != start;
+    }
+
     Json
     parseNumber()
     {
+        // RFC 8259 grammar: an optional '-'; '0' or a digit run not
+        // starting with '0'; optionally '.' and at least one digit;
+        // optionally 'e'/'E', an optional sign and at least one digit.
+        // std::from_chars alone also takes ".5", "01" and "1.".
         std::size_t start = pos_;
-        if (peek() == '-')
-            ++pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '.' || text_[pos_] == 'e' ||
-                text_[pos_] == 'E' || text_[pos_] == '+' ||
-                text_[pos_] == '-'))
-            ++pos_;
-        // The token parses in place and must be consumed whole ("1-2",
-        // "1e5e5" and "0.5.5" are not numbers). Values out of double range
-        // (1e999, 1e-400) are errors; subnormals parse.
+        accept('-');
+        if (!accept('0') && !acceptDigits())
+            fail("bad number");
+        if (accept('.') && !acceptDigits())
+            fail("bad number");
+        if (accept('e') || accept('E')) {
+            if (!accept('+'))
+                accept('-');
+            if (!acceptDigits())
+                fail("bad number");
+        }
+        // No number character may follow ("1-2", "1e5e5", "0.5.5" and
+        // "01" are not a number and a remainder).
+        if (pos_ < text_.size() &&
+            std::string_view("0123456789.eE+-").find(text_[pos_]) !=
+                std::string_view::npos)
+            fail("bad number");
+        // Values out of double range (1e999, 1e-400) are errors;
+        // subnormals parse.
         const char *first = text_.data() + start;
         const char *last = text_.data() + pos_;
         double value = 0;

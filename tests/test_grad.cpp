@@ -2,17 +2,21 @@
  * @file
  * Finite-difference verification of every hand-derived backward pass:
  * diffractive layer phases, codesign logits, layer norm, optical skip,
- * detector + loss chains, and whole-model end-to-end gradients.
+ * detector + loss chains, and whole-model end-to-end gradients; plus a
+ * bitwise pin of the diffractive field gradient against its definition.
  */
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <iterator>
 
 #include "core/layer_norm.hpp"
 #include "core/model.hpp"
 #include "core/skip.hpp"
 #include "core/session.hpp"
+#include "support/hop.hpp"
 #include "utils/rng.hpp"
 
 namespace lightridge {
@@ -150,6 +154,46 @@ TEST(Gradients, DiffractiveLayerFresnelAndPadded)
     for (auto &p : params)
         checkParamGradient(p.value, *p.grad, [&] { return h.loss(); },
                            {11, 77});
+}
+
+TEST(Gradients, DiffractiveBackwardIsAdjointOfConjugateModulation)
+{
+    // backwardInPlace() multiplies by the conjugate of its cached
+    // exp(j*phi) table rather than a second exp(-j*phi) table; the two
+    // must agree bit for bit, special phases included.
+    DonnModel model = ModelBuilder(tinySpec(), Laser{})
+                          .diffractiveLayers(1)
+                          .detectorGrid(4, 2)
+                          .build();
+    Rng rng(21);
+    const Real gamma = 1.7;
+    DiffractiveLayer layer(model.hopPropagator(), gamma, &rng);
+    const Real specials[] = {0.0,   -0.0,   kPi,     -kPi,   kTwoPi,
+                             1e6,   -1e6,   5e-324,  -5e-324, 0.5 * kPi,
+                             1e300, -1e300, 1e-300,  kPi / 3};
+    for (std::size_t i = 0; i < std::size(specials); ++i)
+        layer.phase()[i] = specials[i];
+
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    const std::size_t n = layer.phase().rows();
+    Field u(n, n);
+    Field g(n, n);
+    for (std::size_t i = 0; i < u.size(); ++i) {
+        u[i] = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+        g[i] = Complex(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    }
+    layer.forwardInPlace(u, workspace);
+
+    Field modulated(n, n);
+    for (std::size_t i = 0; i < g.size(); ++i)
+        modulated[i] = g[i] * gamma * std::polar(Real(1), -layer.phase()[i]);
+    const Field expected = hopAdjoint(layer.propagator(), modulated);
+
+    layer.backwardInPlace(g, workspace);
+    ASSERT_EQ(g.size(), expected.size());
+    EXPECT_EQ(std::memcmp(g.data(), expected.data(),
+                          g.size() * sizeof(Complex)),
+              0);
 }
 
 TEST(Gradients, CodesignLayerLogits)

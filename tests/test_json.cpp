@@ -21,6 +21,16 @@ TEST(Json, ParsesScalars)
     EXPECT_DOUBLE_EQ(Json::parse("3.25").asNumber(), 3.25);
     EXPECT_DOUBLE_EQ(Json::parse("-1e3").asNumber(), -1000.0);
     EXPECT_EQ(Json::parse("\"hi\"").asString(), "hi");
+
+    // Edges of the number grammar that stay valid.
+    EXPECT_EQ(Json::parse("0").asNumber(), 0.0);
+    EXPECT_TRUE(std::signbit(Json::parse("-0").asNumber()));
+    EXPECT_EQ(Json::parse("0.5").asNumber(), 0.5);
+    EXPECT_EQ(Json::parse("1e5").asNumber(), 1e5);
+    EXPECT_EQ(Json::parse("1E+5").asNumber(), 1e5);
+    EXPECT_EQ(Json::parse("-1.5e-3").asNumber(), -1.5e-3);
+    EXPECT_EQ(Json::parse("4.9406564584124654e-324").asNumber(),
+              4.9406564584124654e-324);
 }
 
 TEST(Json, ParsesNestedStructures)
@@ -89,6 +99,12 @@ TEST(Json, MalformedInputThrows)
     EXPECT_THROW(Json::parse("[0.5.5]"), JsonError);
     EXPECT_THROW(Json::parse("[1e999]"), JsonError);
     EXPECT_THROW(Json::parse("[1e-400]"), JsonError);
+
+    // Tokens outside JSON's number grammar: no bare fraction, no leading
+    // zero, digits after the point.
+    for (const char *bad : {"[.5]", "[-.5]", "[01]", "[00]", "[-01.5]",
+                            "[1.]", "[1.e5]"})
+        EXPECT_THROW(Json::parse(bad), JsonError) << bad;
 
     // Nesting is capped at Json::kMaxDepth: hostile depth is a typed
     // error, not a stack overflow, and the limit itself still parses.

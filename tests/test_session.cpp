@@ -1,10 +1,11 @@
 /**
  * @file
- * Session engine behaviours across task kinds: bit-for-bit parity of the
- * workers=1 serial path and the workers>=2 replica loop against
- * independent reference loops, data-parallel replica training for
- * segmentation/RGB, top-k reporting, per-epoch callbacks, calibration
- * kept across fit(), and the non-finite loss guard.
+ * Session engine behaviours across task kinds: bit-for-bit parity of its
+ * one epoch loop, at one worker and at 2 and 4 (worker 0 on the primary
+ * model, W-1 replicas), against independent reference loops;
+ * data-parallel training for segmentation/RGB, top-k reporting,
+ * per-epoch callbacks, calibration kept across fit(), the non-finite
+ * loss guard, and the input edges (batch 0, an empty training set).
  */
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "api/experiment.hpp"
 #include "core/session.hpp"
 #include "data/synth_city.hpp"
 #include "data/synth_digits.hpp"
@@ -81,9 +83,10 @@ refOrder(std::size_t n, Rng *rng)
 }
 
 /**
- * Reference reimplementation of the serial segmentation recipe:
+ * Reference reimplementation of the one-worker segmentation recipe:
  * calibration (probe 8), shuffled per-sample forward/backward with
- * batch-accumulated gradients and an Adam step per batch.
+ * batch-accumulated gradients and an Adam step per batch. The epoch loss
+ * adds up per-batch loss sums, as the Session does at any worker count.
  */
 std::vector<Real>
 legacySegLosses(DonnModel &model, const SegDataset &train,
@@ -116,6 +119,7 @@ legacySegLosses(DonnModel &model, const SegDataset &train,
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         std::vector<std::size_t> order = refOrder(train.size(), &rng);
         Real loss_sum = 0;
+        Real batch_loss = 0;
         std::size_t in_batch = 0;
         model.zeroGrad();
         for (std::size_t idx : order) {
@@ -126,15 +130,18 @@ legacySegLosses(DonnModel &model, const SegDataset &train,
                                  : resizeBilinear(train.masks[idx], grid.n,
                                                   grid.n);
             // Overwrites u with the loss gradient at the detector plane.
-            loss_sum += intensityMseLossInPlace(u, target, intensity_scale);
+            batch_loss += intensityMseLossInPlace(u, target, intensity_scale);
             model.backwardFieldInPlace(u, workspace);
             if (++in_batch == cfg.batch) {
+                loss_sum += batch_loss;
+                batch_loss = 0;
                 optimizer.step();
                 model.zeroGrad();
                 in_batch = 0;
             }
         }
         if (in_batch > 0) {
+            loss_sum += batch_loss;
             optimizer.step();
             model.zeroGrad();
         }
@@ -144,9 +151,9 @@ legacySegLosses(DonnModel &model, const SegDataset &train,
 }
 
 /**
- * Reference reimplementation of the serial RGB recipe: calibration
+ * Reference reimplementation of the one-worker RGB recipe: calibration
  * (probe 8, shared amp factor), shuffled per-sample forward/backward,
- * Adam step per batch.
+ * Adam step per batch, epoch loss summed per batch.
  */
 std::vector<Real>
 legacyRgbLosses(MultiChannelDonn &model, const RgbDataset &train,
@@ -180,6 +187,7 @@ legacyRgbLosses(MultiChannelDonn &model, const RgbDataset &train,
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         std::vector<std::size_t> order = refOrder(train.size(), &rng);
         Real loss_sum = 0;
+        Real batch_loss = 0;
         std::size_t in_batch = 0;
         model.zeroGrad();
         for (std::size_t idx : order) {
@@ -195,7 +203,7 @@ legacyRgbLosses(MultiChannelDonn &model, const RgbDataset &train,
             }
             LossResult loss =
                 classificationLoss(cfg.loss, logits, train.labels[idx]);
-            loss_sum += loss.value;
+            batch_loss += loss.value;
             for (std::size_t ch = 0; ch < model.numChannels(); ++ch) {
                 DonnModel &channel = model.channel(ch);
                 channel.detector().backwardForInto(fields[ch], loss.dlogits,
@@ -203,12 +211,15 @@ legacyRgbLosses(MultiChannelDonn &model, const RgbDataset &train,
                 channel.backwardFieldInPlace(g, workspace);
             }
             if (++in_batch == cfg.batch) {
+                loss_sum += batch_loss;
+                batch_loss = 0;
                 optimizer.step();
                 model.zeroGrad();
                 in_batch = 0;
             }
         }
         if (in_batch > 0) {
+            loss_sum += batch_loss;
             optimizer.step();
             model.zeroGrad();
         }
@@ -469,30 +480,40 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
 
 TEST(SessionParallel, MatchesSynchronousReferenceBitwise)
 {
-    // The replica loop must reproduce the synchronous schedule bit for
+    // The epoch loop must reproduce the synchronous schedule bit for
     // bit, pinned against an independent reimplementation of that
-    // schedule (not against itself).
+    // schedule (not against itself). The reference clones W replicas;
+    // the Session trains worker 0 on the primary and clones W - 1.
     ClassDataset train = makeSynthDigits(13, 1); // ragged final batch
 
-    TrainConfig cfg;
-    cfg.epochs = 2;
-    cfg.batch = 5;
-    cfg.lr = 0.05;
-    cfg.seed = 17;
-    cfg.workers = 2;
-    cfg.calibrate = false; // keep the reference loop minimal
+    for (std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
+        SCOPED_TRACE(workers);
+        TrainConfig cfg;
+        cfg.epochs = 2;
+        cfg.batch = 5; // at 4 workers the last batch runs 3 active
+        cfg.lr = 0.05;
+        cfg.seed = 17;
+        cfg.workers = workers;
+        cfg.calibrate = false; // keep the reference loop minimal
 
-    DonnModel ref_model = classModel(9);
-    std::vector<Real> reference =
-        referenceSyncParallelLosses(ref_model, train, cfg, cfg.workers);
+        DonnModel ref_model = classModel(9);
+        std::vector<Real> reference =
+            referenceSyncParallelLosses(ref_model, train, cfg, cfg.workers);
 
-    DonnModel model = classModel(9);
-    ClassificationTask task(model, train);
-    std::vector<EpochStats> history = Session(task, cfg).fit();
+        DonnModel model = classModel(9);
+        ClassificationTask task(model, train);
+        std::vector<EpochStats> history = Session(task, cfg).fit();
 
-    ASSERT_EQ(history.size(), reference.size());
-    for (std::size_t e = 0; e < reference.size(); ++e)
-        EXPECT_EQ(history[e].train_loss, reference[e]) << "epoch " << e;
+        ASSERT_EQ(history.size(), reference.size());
+        for (std::size_t e = 0; e < reference.size(); ++e)
+            EXPECT_EQ(history[e].train_loss, reference[e]) << "epoch " << e;
+        EXPECT_EQ(task.replicaCount(), workers - 1);
+        const std::vector<ParamView> trained = model.params();
+        const std::vector<ParamView> expected = ref_model.params();
+        ASSERT_EQ(trained.size(), expected.size());
+        for (std::size_t p = 0; p < trained.size(); ++p)
+            EXPECT_EQ(*trained[p].value, *expected[p].value) << "param " << p;
+    }
 }
 
 TEST(SessionBehaviour, FitAfterCalibrateKeepsCalibration)
@@ -612,6 +633,68 @@ TEST(SessionBehaviour, NonFiniteGradientStopsBeforeTheOptimizerStep)
         for (std::size_t p = 0; p < after.size(); ++p)
             ASSERT_EQ(*after[p].value, before[p]) << after[p].name;
     }
+}
+
+TEST(SessionBehaviour, ZeroBatchThrowsInvalidArgument)
+{
+    ClassDataset train = makeSynthDigits(4, 1);
+    for (std::size_t workers : {std::size_t{0}, std::size_t{1},
+                                std::size_t{2}}) {
+        SCOPED_TRACE(workers);
+        DonnModel model = classModel(3);
+        ClassificationTask task(model, train);
+        TrainConfig cfg;
+        cfg.batch = 0;
+        cfg.workers = workers;
+        EXPECT_THROW(Session(task, cfg), std::invalid_argument);
+    }
+}
+
+TEST(SessionBehaviour, EmptyTrainingSetTrainsZeroBatches)
+{
+    // resolveWorkers() is 0 for an empty set; the loop still runs as
+    // one worker, over no batch, and clones nothing.
+    ClassDataset train = makeSynthDigits(0, 1);
+    for (std::size_t workers : {std::size_t{0}, std::size_t{1},
+                                std::size_t{2}}) {
+        SCOPED_TRACE(workers);
+        DonnModel model = classModel(3);
+        const std::vector<Real> before = *model.params()[0].value;
+        ClassificationTask task(model, train);
+        TrainConfig cfg;
+        cfg.epochs = 2;
+        cfg.workers = workers;
+        EXPECT_EQ(Session::resolveWorkers(cfg, train.size()), 0u);
+        std::vector<EpochStats> history = Session(task, cfg).fit();
+        ASSERT_EQ(history.size(), 2u);
+        for (const EpochStats &stats : history) {
+            EXPECT_EQ(stats.train_loss, 0.0);
+            EXPECT_EQ(stats.train_acc, 0.0);
+        }
+        EXPECT_EQ(task.replicaCount(), 0u);
+        EXPECT_EQ(*model.params()[0].value, before);
+    }
+}
+
+TEST(SessionBehaviour, SpecWithNoTrainingSamplesRuns)
+{
+    // examples/specs/digits_tiny.json with "data": {"train": 0}: the run
+    // completes and reports the 0 workers training resolved to.
+    const ExperimentSpec spec = ExperimentSpec::fromJson(Json::parse(R"({
+        "name": "digits_tiny",
+        "task": "classification",
+        "dataset": "digits",
+        "data": {"train": 0, "test": 120, "seed": 1},
+        "system": {"size": 32, "pixel": 3.6e-05, "distance": 0},
+        "model_seed": 7,
+        "layers": [{"kind": "diffractive", "count": 2}],
+        "detector": {"classes": 10, "det_size": 3},
+        "train": {"epochs": 2, "batch": 16, "lr": 0.05, "seed": 7}
+    })"));
+    ExperimentResult result = runExperiment(spec);
+    EXPECT_EQ(result.workers_used, 0u);
+    ASSERT_EQ(result.history.size(), 2u);
+    EXPECT_EQ(result.history.back().train_loss, 0.0);
 }
 
 TEST(SessionMultiChannel, CloneIsIndependent)
