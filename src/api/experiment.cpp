@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/layer_norm.hpp"
 #include "core/skip.hpp"
@@ -575,6 +576,68 @@ epochStatsJson(const EpochStats &stats)
     return j;
 }
 
+/** Generator config with the spec's image size (0 keeps the default). */
+template <typename Config>
+Config
+synthConfig(const ExperimentSpec &spec)
+{
+    Config config;
+    if (spec.data.image_size > 0)
+        config.image_size = spec.data.image_size;
+    return config;
+}
+
+/**
+ * A spec's train and test splits and the source training reads. The
+ * source may borrow `train`, so the struct stays where it was filled.
+ */
+template <typename Dataset>
+struct SpecData
+{
+    Dataset train;
+    Dataset test;
+    bool has_test = false;
+    std::size_t num_classes = 0; ///< the manifest's or generator's count
+    std::unique_ptr<RecordSource<Dataset>> source;
+};
+
+/**
+ * Fill `out` from the spec's sharded manifests (streamed, or preloaded
+ * with the manifest's shard layout so the epoch order matches the
+ * streamed run bitwise), or with `synthesize(samples, seed)`: the train
+ * split at data.seed, the test split at data.seed + 1.
+ */
+template <typename Dataset, typename Synthesize>
+void
+loadSpecData(const ExperimentSpec &spec, const Synthesize &synthesize,
+             SpecData<Dataset> &out)
+{
+    if (spec.source.kind != "sharded") {
+        out.train = synthesize(spec.data.train_samples, spec.data.seed);
+        out.test = synthesize(spec.data.test_samples, spec.data.seed + 1);
+        out.has_test = true;
+        if constexpr (!std::is_same_v<Dataset, SegDataset>)
+            out.num_classes = out.train.num_classes;
+        out.source = std::make_unique<InMemorySource<Dataset>>(out.train);
+        return;
+    }
+    DatasetManifest manifest = DatasetManifest::load(spec.source.manifest);
+    out.num_classes = manifest.num_classes;
+    if (!spec.source.test_manifest.empty()) {
+        out.test = materialize<Dataset>(
+            DatasetManifest::load(spec.source.test_manifest));
+        out.has_test = true;
+    }
+    if (spec.source.preload) {
+        out.train = materialize<Dataset>(manifest);
+        out.source = std::make_unique<InMemorySource<Dataset>>(
+            out.train, manifest.shardSizes());
+    } else {
+        out.source = std::make_unique<ShardedSource<Dataset>>(
+            std::move(manifest), spec.source.prefetch);
+    }
+}
+
 } // namespace
 
 DonnModel
@@ -652,167 +715,92 @@ runExperiment(const ExperimentSpec &spec,
         result.data_prefetch = source.prefetchDepth();
         result.data_bytes_read = source.bytesRead();
     };
-    const bool sharded = spec.source.kind == "sharded";
 
     if (spec.task == "classification") {
-        ClassDataset train, test;
-        bool has_test = false;
-        std::unique_ptr<ClassSource> source;
-        if (sharded) {
-            DatasetManifest manifest =
-                DatasetManifest::load(spec.source.manifest);
-            if (!spec.source.test_manifest.empty()) {
-                test = materializeClassDataset(
-                    DatasetManifest::load(spec.source.test_manifest));
-                has_test = true;
-            }
-            if (spec.source.preload) {
-                // Parity mode: whole split in memory, but with the
-                // manifest's shard layout so the epoch order matches the
-                // streamed run bitwise.
-                train = materializeClassDataset(manifest);
-                source = std::make_unique<InMemoryClassSource>(
-                    train, manifest.shardSizes());
-            } else {
-                source = std::make_unique<ShardedClassSource>(
-                    std::move(manifest), spec.source.prefetch);
-            }
-        } else {
-            if (spec.dataset != "digits" && spec.dataset != "fashion")
+        SpecData<ClassDataset> data;
+        loadSpecData(
+            spec,
+            [&](std::size_t samples, uint64_t seed) {
+                if (spec.dataset == "digits")
+                    return makeSynthDigits(samples, seed,
+                                           synthConfig<DigitConfig>(spec));
+                if (spec.dataset == "fashion")
+                    return makeSynthFashion(
+                        samples, seed, synthConfig<FashionConfig>(spec));
                 throw JsonError("classification task needs dataset digits "
                                 "or fashion, got: " + spec.dataset);
-            if (spec.dataset == "digits") {
-                DigitConfig dc;
-                if (spec.data.image_size > 0)
-                    dc.image_size = spec.data.image_size;
-                train = makeSynthDigits(spec.data.train_samples,
-                                        spec.data.seed, dc);
-                test = makeSynthDigits(spec.data.test_samples,
-                                       spec.data.seed + 1, dc);
-            } else {
-                FashionConfig fc;
-                if (spec.data.image_size > 0)
-                    fc.image_size = spec.data.image_size;
-                train = makeSynthFashion(spec.data.train_samples,
-                                         spec.data.seed, fc);
-                test = makeSynthFashion(spec.data.test_samples,
-                                        spec.data.seed + 1, fc);
-            }
-            has_test = true;
-            source = std::make_unique<InMemoryClassSource>(train);
-        }
-        std::size_t classes = spec.detector.classes > 0
-                                  ? spec.detector.classes
-                                  : source->numClasses();
+            },
+            data);
+        const std::size_t classes = spec.detector.classes > 0
+                                        ? spec.detector.classes
+                                        : data.num_classes;
         result.num_classes = classes;
         DonnModel model = buildSpecModel(spec, classes, &rng);
-        ClassificationTask task(model, *source,
-                                has_test ? &test : nullptr);
+        ClassificationTask task(model, *data.source,
+                                data.has_test ? &data.test : nullptr);
         task.setPerturbationSpec(spec.perturbation);
         runSession(task);
-        recordSource(*source);
+        recordSource(*data.source);
         result.final_metrics = task.evaluate();
         if (robustness_sweep != nullptr) {
-            if (!has_test)
+            if (!data.has_test)
                 throw JsonError("robustness sweep requires a test split "
                                 "(dataset has no test_manifest)");
             result.robustness =
-                robustnessSweep(model, test, *robustness_sweep);
+                robustnessSweep(model, data.test, *robustness_sweep);
             result.has_robustness = true;
         }
     } else if (spec.task == "segmentation") {
-        SegDataset train, test;
-        bool has_test = false;
-        std::unique_ptr<SegSource> source;
-        if (sharded) {
-            DatasetManifest manifest =
-                DatasetManifest::load(spec.source.manifest);
-            if (!spec.source.test_manifest.empty()) {
-                test = materializeSegDataset(
-                    DatasetManifest::load(spec.source.test_manifest));
-                has_test = true;
-            }
-            if (spec.source.preload) {
-                train = materializeSegDataset(manifest);
-                source = std::make_unique<InMemorySegSource>(
-                    train, manifest.shardSizes());
-            } else {
-                source = std::make_unique<ShardedSegSource>(
-                    std::move(manifest), spec.source.prefetch);
-            }
-        } else {
-            if (spec.dataset != "city")
-                throw JsonError("segmentation task needs dataset city, "
-                                "got: " + spec.dataset);
-            CityConfig cc;
-            if (spec.data.image_size > 0)
-                cc.image_size = spec.data.image_size;
-            train = makeSynthCity(spec.data.train_samples, spec.data.seed,
-                                  cc);
-            test = makeSynthCity(spec.data.test_samples,
-                                 spec.data.seed + 1, cc);
-            has_test = true;
-            source = std::make_unique<InMemorySegSource>(train);
-        }
+        SpecData<SegDataset> data;
+        loadSpecData(
+            spec,
+            [&](std::size_t samples, uint64_t seed) {
+                if (spec.dataset != "city")
+                    throw JsonError("segmentation task needs dataset city, "
+                                    "got: " + spec.dataset);
+                return makeSynthCity(samples, seed,
+                                     synthConfig<CityConfig>(spec));
+            },
+            data);
         // Placeholder detector keeps serialization uniform; the output is
         // the full detector-plane intensity map.
         DonnModel model = buildSpecModel(spec, 2, &rng);
-        SegmentationTask task(model, *source, has_test ? &test : nullptr);
+        SegmentationTask task(model, *data.source,
+                              data.has_test ? &data.test : nullptr);
         task.setPerturbationSpec(spec.perturbation);
         runSession(task);
-        recordSource(*source);
+        recordSource(*data.source);
         result.final_metrics = task.evaluate();
-        if (has_test)
-            result.secondary = task.evaluateMse(test);
+        if (data.has_test)
+            result.secondary = task.evaluateMse(data.test);
     } else if (spec.task == "rgb") {
         if (spec.perturbation.active())
             throw JsonError("perturbation-vaccinated training is not "
                             "supported for the rgb task");
-        RgbDataset train, test;
-        bool has_test = false;
-        std::unique_ptr<RgbSource> source;
-        if (sharded) {
-            DatasetManifest manifest =
-                DatasetManifest::load(spec.source.manifest);
-            if (!spec.source.test_manifest.empty()) {
-                test = materializeRgbDataset(
-                    DatasetManifest::load(spec.source.test_manifest));
-                has_test = true;
-            }
-            if (spec.source.preload) {
-                train = materializeRgbDataset(manifest);
-                source = std::make_unique<InMemoryRgbSource>(
-                    train, manifest.shardSizes());
-            } else {
-                source = std::make_unique<ShardedRgbSource>(
-                    std::move(manifest), spec.source.prefetch);
-            }
-        } else {
-            if (spec.dataset != "scenes")
-                throw JsonError("rgb task needs dataset scenes, got: " +
-                                spec.dataset);
-            SceneConfig sc;
-            if (spec.data.image_size > 0)
-                sc.image_size = spec.data.image_size;
-            train = makeSynthScenes(spec.data.train_samples, spec.data.seed,
-                                    sc);
-            test = makeSynthScenes(spec.data.test_samples,
-                                   spec.data.seed + 1, sc);
-            has_test = true;
-            source = std::make_unique<InMemoryRgbSource>(train);
-        }
-        std::size_t classes = spec.detector.classes > 0
-                                  ? spec.detector.classes
-                                  : source->numClasses();
+        SpecData<RgbDataset> data;
+        loadSpecData(
+            spec,
+            [&](std::size_t samples, uint64_t seed) {
+                if (spec.dataset != "scenes")
+                    throw JsonError("rgb task needs dataset scenes, got: " +
+                                    spec.dataset);
+                return makeSynthScenes(samples, seed,
+                                       synthConfig<SceneConfig>(spec));
+            },
+            data);
+        const std::size_t classes = spec.detector.classes > 0
+                                        ? spec.detector.classes
+                                        : data.num_classes;
         result.num_classes = classes;
         std::vector<std::unique_ptr<DonnModel>> channels;
         for (int ch = 0; ch < 3; ++ch)
             channels.push_back(std::make_unique<DonnModel>(
                 buildSpecModel(spec, classes, &rng)));
         MultiChannelDonn model(std::move(channels));
-        RgbTask task(model, *source, has_test ? &test : nullptr);
+        RgbTask task(model, *data.source,
+                     data.has_test ? &data.test : nullptr);
         runSession(task);
-        recordSource(*source);
+        recordSource(*data.source);
         result.final_metrics = task.evaluate();
     } else {
         throw JsonError("unknown task kind: " + spec.task);

@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <type_traits>
+#include <variant>
 
 namespace lightridge {
 
@@ -22,21 +24,14 @@ kindPlanes(ShardKind kind)
     }
 }
 
-/** True when samples of this kind carry an int32 label. */
-bool
-kindHasLabel(ShardKind kind)
-{
-    return kind != ShardKind::Seg;
-}
-
 /** Payload bytes of one sample record. */
 std::uint64_t
 sampleBytes(ShardKind kind, std::size_t rows, std::size_t cols)
 {
     std::uint64_t bytes = static_cast<std::uint64_t>(kindPlanes(kind)) *
                           rows * cols * sizeof(Real);
-    if (kindHasLabel(kind))
-        bytes += sizeof(std::int32_t);
+    if (kind != ShardKind::Seg)
+        bytes += sizeof(std::int32_t); // the label
     return bytes;
 }
 
@@ -183,69 +178,70 @@ appendLabel(std::vector<unsigned char> &payload, int label)
     payload.insert(payload.end(), bytes, bytes + sizeof(value));
 }
 
-/**
- * Shared packing loop: `emit(payload, i)` appends sample i's record.
- * Writes shard files + manifest.json under dir and returns the manifest.
- */
-template <typename Emit>
-DatasetManifest
-packDataset(ShardKind kind, std::size_t count, std::size_t num_classes,
-            std::size_t rows, std::size_t cols, const std::string &dir,
-            const PackOptions &options, const Emit &emit)
+// ---- the record layout, stated once for every sample kind ---------------
+
+/** True for the kinds whose samples carry a label (class, rgb). */
+template <typename Dataset>
+constexpr bool kLabeled =
+    !std::is_same_v<std::remove_const_t<Dataset>, SegDataset>;
+
+/** True when a record field is a pixel plane (else it is a label). */
+template <typename T>
+constexpr bool kIsPlane = std::is_same_v<std::remove_cvref_t<T>, RealMap>;
+
+/** The column stored after the image: labels, or a seg dataset's masks. */
+template <typename Dataset>
+auto &
+tailColumn(Dataset &data)
 {
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
+    if constexpr (kLabeled<Dataset>)
+        return data.labels;
+    else
+        return data.masks;
+}
 
-    DatasetManifest manifest;
-    manifest.kind = kind;
-    manifest.num_classes = num_classes;
-    manifest.rows = rows;
-    manifest.cols = cols;
-    manifest.samples = count;
-    manifest.dir = dir;
+/**
+ * Apply `fn` to the fields of sample i in record order: the image
+ * column's planes (one, or three for rgb), then the tail column's entry.
+ */
+template <typename Dataset, typename Fn>
+void
+forEachField(Dataset &data, std::size_t i, const Fn &fn)
+{
+    auto &image = data.images[i];
+    if constexpr (kIsPlane<decltype(image)>)
+        fn(image);
+    else
+        for (auto &plane : image)
+            fn(plane);
+    fn(tailColumn(data)[i]);
+}
 
-    const std::size_t per_shard =
-        options.shard_samples > 0 ? options.shard_samples
-                                  : std::max<std::size_t>(count, 1);
-    std::vector<unsigned char> payload;
-    for (std::size_t start = 0; start < count; start += per_shard) {
-        const std::size_t n = std::min(per_shard, count - start);
-        payload.clear();
-        for (std::size_t i = 0; i < n; ++i)
-            emit(payload, start + i);
+/** Size `data`'s columns to n samples and take the manifest's classes. */
+template <typename Dataset>
+void
+shapeColumns(Dataset &data, const DatasetManifest &manifest, std::size_t n)
+{
+    data.images.resize(n);
+    tailColumn(data).resize(n);
+    if constexpr (kLabeled<Dataset>)
+        data.num_classes = manifest.num_classes;
+}
 
-        char name[32];
-        std::snprintf(name, sizeof(name), "shard_%05zu.bin",
-                      manifest.shards.size());
-        ShardInfo info;
-        info.file = name;
-        info.samples = n;
-        info.bytes = payload.size();
-        info.checksum = fnv1a64(payload.data(), payload.size());
-
-        const std::string path = dir + "/" + name;
-        File file(path, "wb");
-        if (file.fp == nullptr)
-            throw DataError("shard " + path + ": cannot open for writing");
-        ShardHeader h;
-        std::memcpy(h.magic, kShardMagic, sizeof(h.magic));
-        h.kind = static_cast<std::uint32_t>(kind);
-        h.rows = static_cast<std::uint32_t>(rows);
-        h.cols = static_cast<std::uint32_t>(cols);
-        h.planes = static_cast<std::uint32_t>(kindPlanes(kind));
-        h.samples = n;
-        h.payload_bytes = payload.size();
-        h.checksum = info.checksum;
-        writeHeader(file.fp, h, path);
-        writeExact(file.fp, payload.data(), payload.size(), path);
-
-        manifest.shards.push_back(std::move(info));
-    }
-
-    const std::string manifest_path = dir + "/manifest.json";
-    if (!manifest.toJson().save(manifest_path))
-        throw DataError("manifest " + manifest_path + ": cannot write");
-    return manifest;
+/**
+ * Throw DataError naming where(), the sample and the label unless the
+ * label lies in [0, num_classes).
+ */
+template <typename Where>
+void
+checkLabel(int label, std::size_t num_classes, std::size_t sample,
+           const Where &where)
+{
+    if (label < 0 || static_cast<std::size_t>(label) >= num_classes)
+        throw DataError(where() + ": sample " + std::to_string(sample) +
+                        " has label " + std::to_string(label) +
+                        ", outside [0, " + std::to_string(num_classes) +
+                        ")");
 }
 
 /** Read + validate one shard's header against its manifest entry. */
@@ -328,6 +324,42 @@ takeLabel(const unsigned char *p, int &label)
     std::memcpy(&value, p, sizeof(value));
     label = static_cast<int>(value);
     return p + sizeof(value);
+}
+
+/**
+ * Decode shard `shard`'s verified payload into samples [offset, offset
+ * + n) of `out`, whose columns already hold them; a plane of the right
+ * shape keeps its storage. Labels outside [0, num_classes) throw.
+ */
+template <typename Dataset>
+void
+decodeRecordsInto(const DatasetManifest &manifest, std::size_t shard,
+                  const std::vector<unsigned char> &raw, Dataset &out,
+                  std::size_t offset)
+{
+    const unsigned char *p = raw.data();
+    for (std::size_t i = 0; i < manifest.shards[shard].samples; ++i)
+        forEachField(out, offset + i, [&](auto &field) {
+            if constexpr (kIsPlane<decltype(field)>) {
+                p = takePlane(p, field, manifest.rows, manifest.cols);
+            } else {
+                p = takeLabel(p, field);
+                checkLabel(field, manifest.num_classes, i, [&] {
+                    return "shard " + manifest.shardPath(shard);
+                });
+            }
+        });
+}
+
+/** An empty buffer of `kind`: the alternative whose index is its value. */
+template <std::size_t I = 0>
+ShardBuffer
+emptyBuffer(ShardKind kind)
+{
+    if constexpr (I + 1 < std::variant_size_v<ShardBuffer>)
+        if (static_cast<std::size_t>(kind) != I)
+            return emptyBuffer<I + 1>(kind);
+    return ShardBuffer(std::in_place_index<I>);
 }
 
 } // namespace
@@ -496,41 +528,27 @@ decodeShardInto(const DatasetManifest &manifest, std::size_t shard,
 {
     // One reusable payload buffer per calling thread: decode is invoked
     // from prefetcher pool jobs, and the buffer grows to the largest
-    // shard once, then holds steady (arena-style reuse; RealMap slot
-    // storage below is likewise shape-stable after the first epoch).
+    // shard once, then holds steady (arena-style reuse; the dataset's
+    // RealMap storage below is likewise shape-stable after the first
+    // epoch).
     thread_local std::vector<unsigned char> raw;
     readShardPayload(manifest, shard, raw);
-
-    const std::size_t n = manifest.shards[shard].samples;
-    const std::size_t rows = manifest.rows;
-    const std::size_t cols = manifest.cols;
-    out.images.resize(manifest.kind == ShardKind::Rgb ? 0 : n);
-    out.masks.resize(manifest.kind == ShardKind::Seg ? n : 0);
-    out.rgb.resize(manifest.kind == ShardKind::Rgb ? n : 0);
-    out.labels.resize(kindHasLabel(manifest.kind) ? n : 0);
-
-    const unsigned char *p = raw.data();
-    for (std::size_t i = 0; i < n; ++i) {
-        if (manifest.kind == ShardKind::Seg) {
-            p = takePlane(p, out.images[i], rows, cols);
-            p = takePlane(p, out.masks[i], rows, cols);
-        } else if (manifest.kind == ShardKind::Rgb) {
-            for (std::size_t ch = 0; ch < 3; ++ch)
-                p = takePlane(p, out.rgb[i][ch], rows, cols);
-            p = takeLabel(p, out.labels[i]);
-        } else {
-            p = takePlane(p, out.images[i], rows, cols);
-            p = takeLabel(p, out.labels[i]);
-        }
-    }
+    if (out.index() != static_cast<std::size_t>(manifest.kind))
+        out = emptyBuffer(manifest.kind);
+    std::visit(
+        [&](auto &data) {
+            shapeColumns(data, manifest, manifest.shards[shard].samples);
+            decodeRecordsInto(manifest, shard, raw, data, 0);
+        },
+        out);
 }
 
 void
 validateManifest(const DatasetManifest &manifest)
 {
-    std::vector<unsigned char> raw;
+    ShardBuffer buffer;
     for (std::size_t s = 0; s < manifest.shards.size(); ++s)
-        readShardPayload(manifest, s, raw);
+        decodeShardInto(manifest, s, buffer);
 }
 
 void
@@ -545,110 +563,119 @@ verifyShardHeaders(const DatasetManifest &manifest)
     }
 }
 
-DatasetManifest
-writeShards(const ClassDataset &data, const std::string &dir,
-            const PackOptions &options)
+void
+checkManifestKind(const DatasetManifest &manifest, ShardKind kind)
 {
-    const std::size_t rows = data.size() > 0 ? data.images[0].rows() : 0;
-    const std::size_t cols = data.size() > 0 ? data.images[0].cols() : 0;
-    return packDataset(
-        ShardKind::Class, data.size(), data.num_classes, rows, cols, dir,
-        options, [&](std::vector<unsigned char> &payload, std::size_t i) {
-            appendPlane(payload, data.images[i]);
-            appendLabel(payload, data.labels[i]);
-        });
+    if (manifest.kind != kind)
+        throw DataError("dataset manifest in '" + manifest.dir +
+                        "': holds '" + shardKindName(manifest.kind) +
+                        "' samples where a '" + shardKindName(kind) +
+                        "' dataset is required");
 }
 
+template <typename Dataset>
 DatasetManifest
-writeShards(const SegDataset &data, const std::string &dir,
+writeShards(const Dataset &data, const std::string &dir,
             const PackOptions &options)
 {
-    const std::size_t rows = data.size() > 0 ? data.images[0].rows() : 0;
-    const std::size_t cols = data.size() > 0 ? data.images[0].cols() : 0;
-    return packDataset(
-        ShardKind::Seg, data.size(), 0, rows, cols, dir, options,
-        [&](std::vector<unsigned char> &payload, std::size_t i) {
-            appendPlane(payload, data.images[i]);
-            appendPlane(payload, data.masks[i]);
+    if constexpr (kLabeled<Dataset>)
+        for (std::size_t i = 0; i < data.size(); ++i)
+            checkLabel(data.labels[i], data.num_classes, i,
+                       [&] { return "dataset for " + dir; });
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
+
+    DatasetManifest manifest;
+    manifest.kind = shardKindOf<Dataset>();
+    if constexpr (kLabeled<Dataset>)
+        manifest.num_classes = data.num_classes;
+    if (data.size() > 0)
+        forEachField(data, 0, [&](const auto &field) {
+            if constexpr (kIsPlane<decltype(field)>) {
+                manifest.rows = field.rows();
+                manifest.cols = field.cols();
+            }
         });
+    manifest.samples = data.size();
+    manifest.dir = dir;
+
+    const std::size_t per_shard =
+        options.shard_samples > 0 ? options.shard_samples
+                                  : std::max<std::size_t>(data.size(), 1);
+    std::vector<unsigned char> payload;
+    for (std::size_t start = 0; start < data.size(); start += per_shard) {
+        const std::size_t n = std::min(per_shard, data.size() - start);
+        payload.clear();
+        for (std::size_t i = start; i < start + n; ++i)
+            forEachField(data, i, [&](const auto &field) {
+                if constexpr (kIsPlane<decltype(field)>)
+                    appendPlane(payload, field);
+                else
+                    appendLabel(payload, field);
+            });
+
+        char name[32];
+        std::snprintf(name, sizeof(name), "shard_%05zu.bin",
+                      manifest.shards.size());
+        ShardInfo info;
+        info.file = name;
+        info.samples = n;
+        info.bytes = payload.size();
+        info.checksum = fnv1a64(payload.data(), payload.size());
+
+        const std::string path = dir + "/" + name;
+        File file(path, "wb");
+        if (file.fp == nullptr)
+            throw DataError("shard " + path + ": cannot open for writing");
+        ShardHeader h;
+        std::memcpy(h.magic, kShardMagic, sizeof(h.magic));
+        h.kind = static_cast<std::uint32_t>(manifest.kind);
+        h.rows = static_cast<std::uint32_t>(manifest.rows);
+        h.cols = static_cast<std::uint32_t>(manifest.cols);
+        h.planes = static_cast<std::uint32_t>(kindPlanes(manifest.kind));
+        h.samples = n;
+        h.payload_bytes = payload.size();
+        h.checksum = info.checksum;
+        writeHeader(file.fp, h, path);
+        writeExact(file.fp, payload.data(), payload.size(), path);
+
+        manifest.shards.push_back(std::move(info));
+    }
+
+    const std::string manifest_path = dir + "/manifest.json";
+    if (!manifest.toJson().save(manifest_path))
+        throw DataError("manifest " + manifest_path + ": cannot write");
+    return manifest;
 }
 
-DatasetManifest
-writeShards(const RgbDataset &data, const std::string &dir,
-            const PackOptions &options)
+template <typename Dataset>
+Dataset
+materialize(const DatasetManifest &manifest)
 {
-    const std::size_t rows = data.size() > 0 ? data.images[0][0].rows() : 0;
-    const std::size_t cols = data.size() > 0 ? data.images[0][0].cols() : 0;
-    return packDataset(
-        ShardKind::Rgb, data.size(), data.num_classes, rows, cols, dir,
-        options, [&](std::vector<unsigned char> &payload, std::size_t i) {
-            for (std::size_t ch = 0; ch < 3; ++ch)
-                appendPlane(payload, data.images[i][ch]);
-            appendLabel(payload, data.labels[i]);
-        });
-}
-
-ClassDataset
-materializeClassDataset(const DatasetManifest &manifest)
-{
-    if (manifest.kind != ShardKind::Class)
-        throw DataError("manifest " + manifest.dir +
-                        "/manifest.json: expected a class dataset, got " +
-                        shardKindName(manifest.kind));
-    ClassDataset data;
-    data.num_classes = manifest.num_classes;
-    ShardBuffer buffer;
+    checkManifestKind(manifest, shardKindOf<Dataset>());
+    Dataset data;
+    shapeColumns(data, manifest, 0);
+    std::vector<unsigned char> raw;
+    std::size_t offset = 0;
     for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-        decodeShardInto(manifest, s, buffer);
-        for (std::size_t i = 0; i < buffer.images.size(); ++i) {
-            data.images.push_back(std::move(buffer.images[i]));
-            data.labels.push_back(buffer.labels[i]);
-        }
-        buffer.images.clear();
+        readShardPayload(manifest, s, raw);
+        const std::size_t n = manifest.shards[s].samples;
+        shapeColumns(data, manifest, offset + n);
+        decodeRecordsInto(manifest, s, raw, data, offset);
+        offset += n;
     }
     return data;
 }
 
-SegDataset
-materializeSegDataset(const DatasetManifest &manifest)
-{
-    if (manifest.kind != ShardKind::Seg)
-        throw DataError("manifest " + manifest.dir +
-                        "/manifest.json: expected a seg dataset, got " +
-                        shardKindName(manifest.kind));
-    SegDataset data;
-    ShardBuffer buffer;
-    for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-        decodeShardInto(manifest, s, buffer);
-        for (std::size_t i = 0; i < buffer.images.size(); ++i) {
-            data.images.push_back(std::move(buffer.images[i]));
-            data.masks.push_back(std::move(buffer.masks[i]));
-        }
-        buffer.images.clear();
-        buffer.masks.clear();
-    }
-    return data;
-}
-
-RgbDataset
-materializeRgbDataset(const DatasetManifest &manifest)
-{
-    if (manifest.kind != ShardKind::Rgb)
-        throw DataError("manifest " + manifest.dir +
-                        "/manifest.json: expected an rgb dataset, got " +
-                        shardKindName(manifest.kind));
-    RgbDataset data;
-    data.num_classes = manifest.num_classes;
-    ShardBuffer buffer;
-    for (std::size_t s = 0; s < manifest.shards.size(); ++s) {
-        decodeShardInto(manifest, s, buffer);
-        for (std::size_t i = 0; i < buffer.rgb.size(); ++i) {
-            data.images.push_back(std::move(buffer.rgb[i]));
-            data.labels.push_back(buffer.labels[i]);
-        }
-        buffer.rgb.clear();
-    }
-    return data;
-}
+template DatasetManifest writeShards(const ClassDataset &,
+                                     const std::string &,
+                                     const PackOptions &);
+template DatasetManifest writeShards(const SegDataset &, const std::string &,
+                                     const PackOptions &);
+template DatasetManifest writeShards(const RgbDataset &, const std::string &,
+                                     const PackOptions &);
+template ClassDataset materialize(const DatasetManifest &);
+template SegDataset materialize(const DatasetManifest &);
+template RgbDataset materialize(const DatasetManifest &);
 
 } // namespace lightridge

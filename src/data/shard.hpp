@@ -12,17 +12,20 @@
  * host/little endian) so a round trip is bitwise — the streamed-training
  * parity contract depends on it.
  *
- * Record layouts (per sample):
- *   class: rows*cols doubles, then one int32 label
- *   seg:   rows*cols image doubles, rows*cols mask doubles
- *   rgb:   3 * rows*cols channel doubles, then one int32 label
+ * The sample kind is a type: a decoded shard is a ClassDataset,
+ * SegDataset or RgbDataset (ShardBuffer), and one record layout serves
+ * all three. A record is the sample's image column (rows*cols doubles,
+ * three planes of them for rgb) followed by its mask column (rows*cols
+ * doubles, seg) or its label column (one int32 in [0, num_classes),
+ * class and rgb).
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -50,6 +53,27 @@ inline constexpr int kManifestVersion = 1;
 
 /** Sample kind stored in a shard (wire values are stable). */
 enum class ShardKind : std::uint32_t { Class = 0, Seg = 1, Rgb = 2 };
+
+/**
+ * One decoded shard: the dataset of its kind, whose index among the
+ * alternatives is the kind's wire value. Storage is reused across loads
+ * of the same kind (decodeShardInto resizes, never reallocates once
+ * warm), which is what keeps the prefetcher's steady state
+ * allocation-free.
+ */
+using ShardBuffer = std::variant<ClassDataset, SegDataset, RgbDataset>;
+
+/** The kind whose shards hold `Dataset` samples. */
+template <typename Dataset, std::size_t I = 0>
+constexpr ShardKind
+shardKindOf()
+{
+    if constexpr (std::is_same_v<Dataset,
+                                 std::variant_alternative_t<I, ShardBuffer>>)
+        return static_cast<ShardKind>(I);
+    else
+        return shardKindOf<Dataset, I + 1>();
+}
 
 /** Stable name of a shard kind ("class" / "seg" / "rgb"). */
 const char *shardKindName(ShardKind kind);
@@ -101,30 +125,20 @@ struct DatasetManifest
 };
 
 /**
- * In-memory view of one decoded shard. Storage is reused across loads
- * (decodeShardInto resizes, never reallocates once warm), which is what
- * keeps the prefetcher's steady state allocation-free.
- */
-struct ShardBuffer
-{
-    std::vector<RealMap> images;                ///< class/seg samples
-    std::vector<RealMap> masks;                 ///< seg only
-    std::vector<std::array<RealMap, 3>> rgb;    ///< rgb samples
-    std::vector<int> labels;                    ///< class/rgb only
-};
-
-/**
  * Read and decode one shard file into `out`, validating the header
- * against the manifest entry (shape, kind, sample count, payload bytes)
- * and the payload checksum. Reuses `out`'s storage; allocates no Fields.
- * @throws DataError naming the shard on any mismatch or short read
+ * against the manifest entry (shape, kind, sample count, payload bytes),
+ * the payload checksum and every label's range. `out` switches to the
+ * manifest's kind if it holds another; otherwise its storage is reused.
+ * Allocates no Fields.
+ * @throws DataError naming the shard on any mismatch or short read, and
+ *         the shard, sample and label on a label outside [0, num_classes)
  */
 void decodeShardInto(const DatasetManifest &manifest, std::size_t shard,
                      ShardBuffer &out);
 
 /**
- * Validate every shard of a manifest (headers + checksums) without
- * retaining the decoded data.
+ * Validate every shard of a manifest by decoding it (headers, checksums
+ * and label ranges) without retaining the decoded data.
  * @throws DataError naming the first offending shard
  */
 void validateManifest(const DatasetManifest &manifest);
@@ -145,24 +159,32 @@ struct PackOptions
 };
 
 /**
- * Pack a dataset into `dir` as shard files + manifest.json. Returns the
- * written manifest (dir resolved). Samples keep their order: global
- * index i lands in shard i / shard_samples at offset i % shard_samples.
- * @throws DataError on I/O failure
+ * Throw unless the manifest holds `kind` samples.
+ * @throws DataError naming the manifest's directory and both kinds
  */
-DatasetManifest writeShards(const ClassDataset &data, const std::string &dir,
-                            const PackOptions &options = {});
-DatasetManifest writeShards(const SegDataset &data, const std::string &dir,
-                            const PackOptions &options = {});
-DatasetManifest writeShards(const RgbDataset &data, const std::string &dir,
+void checkManifestKind(const DatasetManifest &manifest, ShardKind kind);
+
+/**
+ * Pack a dataset (ClassDataset, SegDataset or RgbDataset) into `dir` as
+ * shard files + manifest.json. Returns the written manifest (dir
+ * resolved). Samples keep their order: global index i lands in shard
+ * i / shard_samples at offset i % shard_samples. The manifest is written
+ * last, so a failed pack leaves none.
+ * @throws DataError on I/O failure, or before writing anything, naming
+ *         the sample and the label, when a label falls outside
+ *         [0, data.num_classes)
+ */
+template <typename Dataset>
+DatasetManifest writeShards(const Dataset &data, const std::string &dir,
                             const PackOptions &options = {});
 
 /**
- * Load an entire manifest into memory (validating every shard). The
- * preload path of sharded specs and the test-split loader.
+ * Load an entire manifest of `Dataset` samples into memory, decoding
+ * (and so validating) each shard straight into the result. The preload
+ * path of sharded specs and the test-split loader.
+ * @throws DataError as decodeShardInto, or from checkManifestKind
  */
-ClassDataset materializeClassDataset(const DatasetManifest &manifest);
-SegDataset materializeSegDataset(const DatasetManifest &manifest);
-RgbDataset materializeRgbDataset(const DatasetManifest &manifest);
+template <typename Dataset>
+Dataset materialize(const DatasetManifest &manifest);
 
 } // namespace lightridge

@@ -3,26 +3,28 @@
  * Polymorphic training-data sources and the deterministic two-level
  * epoch shuffle.
  *
- * A DataSource hides where training samples live: InMemory* sources wrap
- * the synthetic datasets exactly as before, Sharded* sources (stream.hpp)
- * decode shards off disk through an async prefetcher. Tasks read samples
- * through the typed accessors; the Session drives the epoch/staging
- * lifecycle on the main thread between batches, so the accessors stay
- * lock-free during compute.
+ * A DataSource hides where training samples live. One template per
+ * storage serves every sample kind (ClassDataset, SegDataset,
+ * RgbDataset): InMemorySource wraps a dataset in memory, and
+ * ShardedSource (stream.hpp) decodes shards off disk through an async
+ * prefetcher. Both implement RecordSource::locate, from which the typed
+ * accessors (`image`, `label`, `mask`) read. The Session drives the
+ * epoch/staging lifecycle on the main thread between batches, so the
+ * accessors stay lock-free during compute.
  *
  * Determinism contract: the epoch order is a pure function of (seed,
  * shuffle flag, shard layout) via twoLevelEpochOrder(). A single-shard
  * layout consumes the rng exactly like the flat std::shuffle the engine
  * always used (shuffling a one-element shard list draws nothing), so
  * in-memory training is bit-for-bit unchanged; and any two sources with
- * the same shard layout — a ShardedDiskSource and an InMemorySource
+ * the same shard layout — a ShardedSource and an InMemorySource
  * preloaded from the same manifest — train bitwise identically at any
  * worker count.
  */
 #pragma once
 
-#include <array>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "core/dataset.hpp"
@@ -46,8 +48,8 @@ twoLevelEpochOrder(const std::vector<std::size_t> &shard_sizes, bool shuffle,
  * Source-lifecycle interface the Session engine drives. All lifecycle
  * calls happen on the main thread with no trainer jobs in flight ("the
  * pool is idle here" — the same residency contract as the perturbation
- * realization); typed accessors (see ClassSource et al.) are then safe
- * to call concurrently from replica workers during the batch.
+ * realization); the typed accessors of RecordSource are then safe to
+ * call concurrently from replica workers during the batch.
  */
 class DataSource
 {
@@ -107,30 +109,46 @@ class DataSource
     virtual void endEpoch() {}
 };
 
-/** Classification samples: grayscale image + int label. */
-class ClassSource : public DataSource
+/**
+ * Typed read side of a source over one sample kind, `Dataset` being
+ * ClassDataset, SegDataset or RgbDataset. A source implements `locate`;
+ * the accessors read the located dataset's columns, so every kind and
+ * every storage shares them.
+ */
+template <typename Dataset>
+class RecordSource : public DataSource
 {
   public:
-    virtual const RealMap &image(std::size_t i) const = 0;
-    virtual int label(std::size_t i) const = 0;
-    virtual std::size_t numClasses() const = 0;
-};
+    /**
+     * The dataset holding global sample `i` (which must be staged), with
+     * the sample's index in it written to `local`. Lock-free.
+     */
+    virtual const Dataset &locate(std::size_t i,
+                                  std::size_t &local) const = 0;
 
-/** Segmentation samples: image + target mask. */
-class SegSource : public DataSource
-{
-  public:
-    virtual const RealMap &image(std::size_t i) const = 0;
-    virtual const RealMap &mask(std::size_t i) const = 0;
-};
+    /** Image of sample i: one plane, or three RGB channel planes. */
+    const auto &
+    image(std::size_t i) const
+    {
+        std::size_t local = 0;
+        return locate(i, local).images[local];
+    }
 
-/** RGB classification samples: three channel planes + int label. */
-class RgbSource : public DataSource
-{
-  public:
-    virtual const std::array<RealMap, 3> &image(std::size_t i) const = 0;
-    virtual int label(std::size_t i) const = 0;
-    virtual std::size_t numClasses() const = 0;
+    /** Class label of sample i (class and rgb kinds). */
+    int
+    label(std::size_t i) const
+    {
+        std::size_t local = 0;
+        return locate(i, local).labels[local];
+    }
+
+    /** Target mask of sample i (seg kind). */
+    const RealMap &
+    mask(std::size_t i) const
+    {
+        std::size_t local = 0;
+        return locate(i, local).masks[local];
+    }
 };
 
 /**
@@ -139,11 +157,12 @@ class RgbSource : public DataSource
  * identically to the streamed run over the same shards; the default
  * single-shard layout reproduces the engine's historical flat shuffle.
  */
-class InMemoryClassSource : public ClassSource
+template <typename Dataset>
+class InMemorySource : public RecordSource<Dataset>
 {
   public:
-    explicit InMemoryClassSource(const ClassDataset &data,
-                                 std::vector<std::size_t> shard_sizes = {})
+    explicit InMemorySource(const Dataset &data,
+                            std::vector<std::size_t> shard_sizes = {})
         : data_(data), shard_sizes_(std::move(shard_sizes))
     {}
 
@@ -155,76 +174,22 @@ class InMemoryClassSource : public ClassSource
     }
     const char *sourceKind() const override { return "memory"; }
 
-    const RealMap &image(std::size_t i) const override
+    const Dataset &locate(std::size_t i, std::size_t &local) const override
     {
-        return data_.images[i];
-    }
-    int label(std::size_t i) const override { return data_.labels[i]; }
-    std::size_t numClasses() const override { return data_.num_classes; }
-
-  private:
-    const ClassDataset &data_;
-    std::vector<std::size_t> shard_sizes_;
-};
-
-/** In-memory segmentation source (see InMemoryClassSource). */
-class InMemorySegSource : public SegSource
-{
-  public:
-    explicit InMemorySegSource(const SegDataset &data,
-                               std::vector<std::size_t> shard_sizes = {})
-        : data_(data), shard_sizes_(std::move(shard_sizes))
-    {}
-
-    std::size_t size() const override { return data_.size(); }
-    std::vector<std::size_t> shardSizes() const override
-    {
-        return shard_sizes_.empty() ? std::vector<std::size_t>{size()}
-                                    : shard_sizes_;
-    }
-    const char *sourceKind() const override { return "memory"; }
-
-    const RealMap &image(std::size_t i) const override
-    {
-        return data_.images[i];
-    }
-    const RealMap &mask(std::size_t i) const override
-    {
-        return data_.masks[i];
+        local = i;
+        return data_;
     }
 
   private:
-    const SegDataset &data_;
+    const Dataset &data_;
     std::vector<std::size_t> shard_sizes_;
 };
 
-/** In-memory RGB source (see InMemoryClassSource). */
-class InMemoryRgbSource : public RgbSource
-{
-  public:
-    explicit InMemoryRgbSource(const RgbDataset &data,
-                               std::vector<std::size_t> shard_sizes = {})
-        : data_(data), shard_sizes_(std::move(shard_sizes))
-    {}
-
-    std::size_t size() const override { return data_.size(); }
-    std::vector<std::size_t> shardSizes() const override
-    {
-        return shard_sizes_.empty() ? std::vector<std::size_t>{size()}
-                                    : shard_sizes_;
-    }
-    const char *sourceKind() const override { return "memory"; }
-
-    const std::array<RealMap, 3> &image(std::size_t i) const override
-    {
-        return data_.images[i];
-    }
-    int label(std::size_t i) const override { return data_.labels[i]; }
-    std::size_t numClasses() const override { return data_.num_classes; }
-
-  private:
-    const RgbDataset &data_;
-    std::vector<std::size_t> shard_sizes_;
-};
+using ClassSource = RecordSource<ClassDataset>;
+using SegSource = RecordSource<SegDataset>;
+using RgbSource = RecordSource<RgbDataset>;
+using InMemoryClassSource = InMemorySource<ClassDataset>;
+using InMemorySegSource = InMemorySource<SegDataset>;
+using InMemoryRgbSource = InMemorySource<RgbDataset>;
 
 } // namespace lightridge

@@ -8,26 +8,12 @@
 
 namespace lightridge {
 
-namespace {
-
-/** Kind-check + cheap header pass before a source starts serving. */
-DatasetManifest
-checkedManifest(DatasetManifest manifest, ShardKind kind)
-{
-    if (manifest.kind != kind)
-        throw DataError("dataset manifest in '" + manifest.dir +
-                        "': holds '" + shardKindName(manifest.kind) +
-                        "' samples where a '" + shardKindName(kind) +
-                        "' dataset is required");
-    verifyShardHeaders(manifest);
-    return manifest;
-}
-
-} // namespace
-
-ShardStream::ShardStream(DatasetManifest manifest, std::size_t prefetch)
+ShardStream::ShardStream(DatasetManifest manifest, ShardKind kind,
+                         std::size_t prefetch)
     : manifest_(std::move(manifest)), prefetch_(prefetch)
 {
+    checkManifestKind(manifest_, kind);
+    verifyShardHeaders(manifest_);
     prefix_.resize(manifest_.shards.size() + 1, 0);
     for (std::size_t s = 0; s < manifest_.shards.size(); ++s)
         prefix_[s + 1] = prefix_[s] + manifest_.shards[s].samples;
@@ -325,21 +311,5 @@ ShardStream::decodeInline(std::size_t slot_index)
     slot_state_[slot_index] = SlotState::Ready;
     bytes_read_ += manifest_.shards[sl.shard].bytes;
 }
-
-ShardedClassSource::ShardedClassSource(DatasetManifest manifest,
-                                       std::size_t prefetch)
-    : stream_(checkedManifest(std::move(manifest), ShardKind::Class),
-              prefetch)
-{}
-
-ShardedSegSource::ShardedSegSource(DatasetManifest manifest,
-                                   std::size_t prefetch)
-    : stream_(checkedManifest(std::move(manifest), ShardKind::Seg), prefetch)
-{}
-
-ShardedRgbSource::ShardedRgbSource(DatasetManifest manifest,
-                                   std::size_t prefetch)
-    : stream_(checkedManifest(std::move(manifest), ShardKind::Rgb), prefetch)
-{}
 
 } // namespace lightridge

@@ -1,19 +1,22 @@
 /**
  * @file
- * Sharded on-disk training sources with a double-buffered async
+ * Sharded on-disk training source with a double-buffered async
  * prefetcher.
  *
- * ShardStream drives residency for one manifest: the Session stages each
- * batch between batches (main thread, no trainer jobs in flight), and
- * the stream decodes the shards the batch spans — plus `prefetch` shards
- * of lookahead — into a ring of reusable slot buffers. Decode jobs ride
- * the global ThreadPool (ThreadPool::enqueue degrades to inline decode
- * on a 0-worker pool), so while the trainer consumes shard t the pool is
- * already decoding shard t+1. Slot buffers are recycled arena-style
- * across shards and epochs: after the first epoch warms the ring, a
- * steady-state streamed train step performs zero Field allocations (the
- * decode path is RealMap-only by construction, and the lint rule
- * zero-alloc-hot-path watches it).
+ * ShardedSource<Dataset> serves any sample kind (ShardedClassSource,
+ * ShardedSegSource and ShardedRgbSource name the three) from one
+ * ShardStream, which drives residency for one manifest: the Session
+ * stages each batch between batches (main thread, no trainer jobs in
+ * flight), and the stream decodes the shards the batch spans — plus
+ * `prefetch` shards of lookahead — into a ring of reusable slot
+ * buffers. Decode jobs ride the global ThreadPool (ThreadPool::enqueue
+ * degrades to inline decode on a 0-worker pool), so while the trainer
+ * consumes shard t the pool is already decoding shard t+1. Slot buffers
+ * are recycled arena-style across shards and epochs: after the first
+ * epoch warms the ring, a steady-state streamed train step performs
+ * zero Field allocations (the decode path, decodeShardInto over the
+ * shared decodeRecordsInto, is RealMap-only by construction, and the
+ * lint rule zero-alloc-hot-path watches both).
  *
  * Concurrency contract: all lifecycle calls (beginEpoch / stageRange /
  * stageIndices / endEpoch) are main-thread-only; the shard-to-slot map
@@ -26,6 +29,8 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "data/shard.hpp"
@@ -34,17 +39,20 @@
 
 namespace lightridge {
 
-/** Residency engine shared by the three sharded source kinds. */
+/** Residency engine behind ShardedSource, whatever the sample kind. */
 class ShardStream
 {
   public:
     /**
-     * @param manifest loaded manifest (shard headers are verified now,
-     *        so missing/mismatched shard files fail at construction)
+     * @param manifest loaded manifest (its kind and shard headers are
+     *        verified now, so a wrong kind or missing/mismatched shard
+     *        files fail at construction)
+     * @param kind sample kind the manifest must hold
      * @param prefetch shards decoded ahead of the consumer (0 =
      *        synchronous loads, 1 = classic double buffering)
      */
-    explicit ShardStream(DatasetManifest manifest, std::size_t prefetch = 1);
+    ShardStream(DatasetManifest manifest, ShardKind kind,
+                std::size_t prefetch);
     ~ShardStream();
 
     ShardStream(const ShardStream &) = delete;
@@ -125,12 +133,18 @@ class ShardStream
     std::uint64_t bytes_read_ LIGHTRIDGE_GUARDED_BY(mutex_) = 0;
 };
 
-/** Streaming classification source over a packed class dataset. */
-class ShardedClassSource : public ClassSource
+/**
+ * Streaming source over a packed dataset of `Dataset` samples. The
+ * manifest must hold that kind (checked with the shard headers at
+ * construction).
+ */
+template <typename Dataset>
+class ShardedSource : public RecordSource<Dataset>
 {
   public:
-    explicit ShardedClassSource(DatasetManifest manifest,
-                                std::size_t prefetch = 1);
+    explicit ShardedSource(DatasetManifest manifest, std::size_t prefetch = 1)
+        : stream_(std::move(manifest), shardKindOf<Dataset>(), prefetch)
+    {}
 
     std::size_t size() const override { return stream_.size(); }
     std::vector<std::size_t> shardSizes() const override
@@ -158,123 +172,17 @@ class ShardedClassSource : public ClassSource
     }
     void endEpoch() override { stream_.endEpoch(); }
 
-    const RealMap &image(std::size_t i) const override
+    const Dataset &locate(std::size_t i, std::size_t &local) const override
     {
-        std::size_t local = 0;
-        return stream_.locate(i, local).images[local];
-    }
-    int label(std::size_t i) const override
-    {
-        std::size_t local = 0;
-        return stream_.locate(i, local).labels[local];
-    }
-    std::size_t numClasses() const override
-    {
-        return stream_.manifest().num_classes;
+        return std::get<Dataset>(stream_.locate(i, local));
     }
 
   private:
     ShardStream stream_;
 };
 
-/** Streaming segmentation source over a packed seg dataset. */
-class ShardedSegSource : public SegSource
-{
-  public:
-    explicit ShardedSegSource(DatasetManifest manifest,
-                              std::size_t prefetch = 1);
-
-    std::size_t size() const override { return stream_.size(); }
-    std::vector<std::size_t> shardSizes() const override
-    {
-        return stream_.shardSizes();
-    }
-    const char *sourceKind() const override { return "sharded"; }
-    std::size_t prefetchDepth() const override
-    {
-        return stream_.prefetchDepth();
-    }
-    std::uint64_t bytesRead() const override { return stream_.bytesRead(); }
-
-    void beginEpoch(const std::vector<std::size_t> *order) override
-    {
-        stream_.beginEpoch(order);
-    }
-    void stageRange(std::size_t lo, std::size_t hi) override
-    {
-        stream_.stageRange(lo, hi);
-    }
-    void stageIndices(std::size_t lo, std::size_t hi) override
-    {
-        stream_.stageIndices(lo, hi);
-    }
-    void endEpoch() override { stream_.endEpoch(); }
-
-    const RealMap &image(std::size_t i) const override
-    {
-        std::size_t local = 0;
-        return stream_.locate(i, local).images[local];
-    }
-    const RealMap &mask(std::size_t i) const override
-    {
-        std::size_t local = 0;
-        return stream_.locate(i, local).masks[local];
-    }
-
-  private:
-    ShardStream stream_;
-};
-
-/** Streaming RGB source over a packed rgb dataset. */
-class ShardedRgbSource : public RgbSource
-{
-  public:
-    explicit ShardedRgbSource(DatasetManifest manifest,
-                              std::size_t prefetch = 1);
-
-    std::size_t size() const override { return stream_.size(); }
-    std::vector<std::size_t> shardSizes() const override
-    {
-        return stream_.shardSizes();
-    }
-    const char *sourceKind() const override { return "sharded"; }
-    std::size_t prefetchDepth() const override
-    {
-        return stream_.prefetchDepth();
-    }
-    std::uint64_t bytesRead() const override { return stream_.bytesRead(); }
-
-    void beginEpoch(const std::vector<std::size_t> *order) override
-    {
-        stream_.beginEpoch(order);
-    }
-    void stageRange(std::size_t lo, std::size_t hi) override
-    {
-        stream_.stageRange(lo, hi);
-    }
-    void stageIndices(std::size_t lo, std::size_t hi) override
-    {
-        stream_.stageIndices(lo, hi);
-    }
-    void endEpoch() override { stream_.endEpoch(); }
-
-    const std::array<RealMap, 3> &image(std::size_t i) const override
-    {
-        std::size_t local = 0;
-        return stream_.locate(i, local).rgb[local];
-    }
-    int label(std::size_t i) const override
-    {
-        std::size_t local = 0;
-        return stream_.locate(i, local).labels[local];
-    }
-    std::size_t numClasses() const override
-    {
-        return stream_.manifest().num_classes;
-    }
-
-  private:
-    ShardStream stream_;
-};
+using ShardedClassSource = ShardedSource<ClassDataset>;
+using ShardedSegSource = ShardedSource<SegDataset>;
+using ShardedRgbSource = ShardedSource<RgbDataset>;
 
 } // namespace lightridge

@@ -20,6 +20,21 @@ millisecondsBetween(std::chrono::steady_clock::time_point from,
 
 } // namespace
 
+BatchingConfig
+BatchingConfig::fromJson(const Json &j)
+{
+    BatchingConfig config;
+    for (const auto &[key, value] : j.asObject()) {
+        if (key == "max_batch")
+            config.max_batch = value.asInteger("batching.max_batch", 1);
+        else if (key == "max_queue")
+            config.max_queue = value.asInteger("batching.max_queue", 1);
+        else
+            throw JsonError("unknown key in batching: " + key);
+    }
+    return config;
+}
+
 InferenceEngine::InferenceEngine(ModelRegistry &registry,
                                  BatchingConfig config, ThreadPool *pool)
     : registry_(registry), config_(config),

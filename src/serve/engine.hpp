@@ -44,6 +44,7 @@
 #include "serve/metrics.hpp"
 #include "serve/registry.hpp"
 #include "tensor/field.hpp"
+#include "utils/json.hpp"
 #include "utils/sync.hpp"
 #include "utils/thread_pool.hpp"
 
@@ -70,6 +71,13 @@ struct BatchingConfig
      * blocked submit is an IO thread doing nothing.
      */
     std::size_t max_queued_per_model = 0;
+
+    /**
+     * A serve manifest's "batching" object: only `max_batch` and
+     * `max_queue`, each an integer >= 1; an absent key keeps its default.
+     * @throws JsonError naming the offending field or unknown key
+     */
+    static BatchingConfig fromJson(const Json &j);
 };
 
 /** Aggregate serving counters. Ensemble member sub-requests ride the

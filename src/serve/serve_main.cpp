@@ -23,7 +23,8 @@
  *   }
  * "checkpoint" entries load trained models (header-verified); "spec"
  * entries build the architecture of an ExperimentSpec with untrained
- * weights (latency/smoke testing).
+ * weights (latency/smoke testing). "batching" takes only those two
+ * keys, each an integer >= 1 (anything else exits 2).
  *
  * Requests, one JSON object per line (file or stdin) — the same schema
  * the HTTP route accepts as a body:
@@ -309,13 +310,8 @@ main(int argc, char **argv)
     BatchingConfig batching;
     try {
         Json manifest = Json::load(manifest_path);
-        if (manifest.has("batching")) {
-            const Json &b = manifest.at("batching");
-            batching.max_batch = static_cast<std::size_t>(
-                b.numberOr("max_batch", batching.max_batch));
-            batching.max_queue = static_cast<std::size_t>(
-                b.numberOr("max_queue", batching.max_queue));
-        }
+        if (manifest.has("batching"))
+            batching = BatchingConfig::fromJson(manifest.at("batching"));
         // Two passes: models first, then ensembles, so an ensemble may
         // name members declared later in the file. Duplicate names are
         // a manifest error — silently hot-swapping the earlier entry

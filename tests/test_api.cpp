@@ -15,7 +15,9 @@
 
 #include "api/experiment.hpp"
 #include "data/shard.hpp"
+#include "data/synth_city.hpp"
 #include "data/synth_digits.hpp"
+#include "data/synth_scenes.hpp"
 
 namespace lightridge {
 namespace {
@@ -473,6 +475,17 @@ TEST(ExperimentSpec, DatasetObjectSynthNameStillWorks)
     EXPECT_EQ(spec.toJson().at("dataset").asString(), "fashion");
 }
 
+/** Pack a train split in shards of 8 samples and a one-shard test split. */
+template <typename Dataset>
+void
+packSplits(const Dataset &train, const Dataset &test, const std::string &base)
+{
+    PackOptions options;
+    options.shard_samples = 8;
+    writeShards(train, base + "/train", options);
+    writeShards(test, base + "/test");
+}
+
 TEST(RunExperiment, ShardedDatasetEndToEndRecordsSource)
 {
     char tmpl[] = "/tmp/lightridge_api_XXXXXX";
@@ -480,46 +493,72 @@ TEST(RunExperiment, ShardedDatasetEndToEndRecordsSource)
     ASSERT_NE(dir, nullptr);
     const std::string base = dir;
 
-    ClassDataset train = makeSynthDigits(24, 7);
-    ClassDataset test = makeSynthDigits(8, 8);
-    PackOptions options;
-    options.shard_samples = 8;
-    writeShards(train, base + "/train", options);
-    writeShards(test, base + "/test");
+    // Each task reads its own sample kind: class, seg and rgb shards.
+    CityConfig city;
+    city.image_size = 16;
+    SceneConfig scenes;
+    scenes.image_size = 16;
+    packSplits(makeSynthDigits(24, 7), makeSynthDigits(8, 8),
+               base + "/classification");
+    packSplits(makeSynthCity(24, 7, city), makeSynthCity(8, 8, city),
+               base + "/segmentation");
+    packSplits(makeSynthScenes(24, 7, scenes), makeSynthScenes(8, 8, scenes),
+               base + "/rgb");
 
-    ExperimentSpec spec = tinySpec();
-    spec.source.kind = "sharded";
-    spec.source.manifest = base + "/train/manifest.json";
-    spec.source.test_manifest = base + "/test/manifest.json";
-    spec.source.prefetch = 1;
-    spec.data.train_samples = 0; // unused by sharded sources
+    for (const std::string task : {"classification", "segmentation", "rgb"}) {
+        SCOPED_TRACE(task);
+        ExperimentSpec spec = tinySpec();
+        spec.task = task;
+        if (task == "segmentation")
+            spec.layers = Json(); // task-default stack (skip + layernorm)
+        if (task == "rgb")
+            spec.detector.classes = 0; // the manifest's 6 scene classes
+        spec.source.kind = "sharded";
+        spec.source.manifest = base + "/" + task + "/train/manifest.json";
+        spec.source.test_manifest = base + "/" + task + "/test/manifest.json";
+        spec.source.prefetch = 1;
+        spec.data.train_samples = 0; // unused by sharded sources
+        spec.train.epochs = 2;
 
-    ExperimentResult streamed = runExperiment(spec);
-    EXPECT_EQ(streamed.data_source, "sharded");
-    EXPECT_EQ(streamed.data_shards, 3u);
-    EXPECT_EQ(streamed.data_prefetch, 1u);
-    EXPECT_GT(streamed.data_bytes_read, 0u);
-    EXPECT_EQ(streamed.num_classes, 10u);
-    ASSERT_EQ(streamed.history.size(), 1u);
+        for (std::size_t workers : {std::size_t{1}, std::size_t{2}}) {
+            SCOPED_TRACE(workers);
+            spec.train.workers = workers;
+            spec.source.preload = false;
+            ExperimentResult streamed = runExperiment(spec);
+            EXPECT_EQ(streamed.data_source, "sharded");
+            EXPECT_EQ(streamed.data_shards, 3u);
+            EXPECT_EQ(streamed.data_prefetch, 1u);
+            EXPECT_GT(streamed.data_bytes_read, 0u);
+            EXPECT_EQ(streamed.workers_used, workers);
+            if (task != "segmentation") {
+                EXPECT_EQ(streamed.num_classes, task == "rgb" ? 6u : 10u);
+            }
+            ASSERT_EQ(streamed.history.size(), 2u);
 
-    // Preload mode keeps the shard layout: bitwise-identical training.
-    spec.source.preload = true;
-    ExperimentResult preloaded = runExperiment(spec);
-    EXPECT_EQ(preloaded.data_source, "memory");
-    EXPECT_EQ(preloaded.data_shards, 3u);
-    EXPECT_EQ(preloaded.data_bytes_read, 0u);
-    ASSERT_EQ(preloaded.history.size(), 1u);
-    EXPECT_EQ(preloaded.history[0].train_loss,
-              streamed.history[0].train_loss);
-    EXPECT_EQ(preloaded.final_metrics.primary,
-              streamed.final_metrics.primary);
+            Json report = streamed.report(spec);
+            const Json &execution = report.at("execution");
+            EXPECT_EQ(execution.at("data_source").asString(), "sharded");
+            EXPECT_EQ(execution.at("data_shards").asInt(), 3);
+            EXPECT_EQ(execution.at("data_prefetch").asInt(), 1);
+            EXPECT_TRUE(execution.has("data_bytes_read"));
 
-    Json report = streamed.report(spec);
-    const Json &execution = report.at("execution");
-    EXPECT_EQ(execution.at("data_source").asString(), "sharded");
-    EXPECT_EQ(execution.at("data_shards").asInt(), 3);
-    EXPECT_EQ(execution.at("data_prefetch").asInt(), 1);
-    EXPECT_TRUE(execution.has("data_bytes_read"));
+            // Preload mode keeps the shard layout: bitwise-identical
+            // training in every epoch and the same final metric.
+            spec.source.preload = true;
+            ExperimentResult preloaded = runExperiment(spec);
+            EXPECT_EQ(preloaded.data_source, "memory");
+            EXPECT_EQ(preloaded.data_shards, 3u);
+            EXPECT_EQ(preloaded.data_bytes_read, 0u);
+            ASSERT_EQ(preloaded.history.size(), 2u);
+            for (std::size_t e = 0; e < 2; ++e)
+                EXPECT_EQ(preloaded.history[e].train_loss,
+                          streamed.history[e].train_loss)
+                    << "epoch " << e;
+            EXPECT_EQ(preloaded.final_metrics.primary,
+                      streamed.final_metrics.primary);
+            EXPECT_EQ(preloaded.secondary, streamed.secondary);
+        }
+    }
 
     std::filesystem::remove_all(base);
 }

@@ -1,11 +1,12 @@
 /**
  * @file
- * Out-of-core streaming dataset subsystem: bitwise shard round trips,
- * streamed-vs-preloaded training parity across worker counts (serial
- * and replica loops), the deterministic two-level shuffle, strict
- * manifest/shard validation errors naming the offending shard, the
- * mid-epoch dev-eval cadence, and — in LIGHTRIDGE_ALLOC_STATS builds —
- * zero-Field-allocation steady-state streamed train steps.
+ * Out-of-core streaming dataset subsystem: bitwise shard round trips
+ * (one ShardBuffer switching kinds included), streamed-vs-preloaded
+ * training parity across worker counts (serial and replica loops), the
+ * deterministic two-level shuffle, strict manifest/shard validation
+ * errors naming the offending shard (wrong kind, out-of-range labels),
+ * the mid-epoch dev-eval cadence, and — in LIGHTRIDGE_ALLOC_STATS
+ * builds — zero-Field-allocation steady-state streamed train steps.
  */
 #include <gtest/gtest.h>
 
@@ -157,7 +158,7 @@ TEST(ShardFormat, ClassRoundTripIsBitwise)
     DatasetManifest loaded = DatasetManifest::load(
         dir.sub("d") + "/manifest.json");
     EXPECT_EQ(loaded.num_classes, data.num_classes);
-    ClassDataset back = materializeClassDataset(loaded);
+    ClassDataset back = materialize<ClassDataset>(loaded);
     ASSERT_EQ(back.size(), data.size());
     EXPECT_EQ(back.labels, data.labels);
     for (std::size_t i = 0; i < data.size(); ++i)
@@ -172,7 +173,7 @@ TEST(ShardFormat, SegRoundTripIsBitwise)
     PackOptions options;
     options.shard_samples = 4;
     writeShards(data, dir.sub("d"), options);
-    SegDataset back = materializeSegDataset(
+    SegDataset back = materialize<SegDataset>(
         DatasetManifest::load(dir.sub("d") + "/manifest.json"));
     ASSERT_EQ(back.size(), data.size());
     for (std::size_t i = 0; i < data.size(); ++i) {
@@ -188,7 +189,7 @@ TEST(ShardFormat, RgbRoundTripIsBitwise)
     PackOptions options;
     options.shard_samples = 4;
     writeShards(data, dir.sub("d"), options);
-    RgbDataset back = materializeRgbDataset(
+    RgbDataset back = materialize<RgbDataset>(
         DatasetManifest::load(dir.sub("d") + "/manifest.json"));
     ASSERT_EQ(back.size(), data.size());
     EXPECT_EQ(back.labels, data.labels);
@@ -208,14 +209,51 @@ TEST(ShardFormat, DecodeShardIntoReusesStorage)
 
     ShardBuffer buffer;
     decodeShardInto(manifest, 1, buffer);
-    ASSERT_EQ(buffer.images.size(), 6u);
-    EXPECT_EQ(buffer.labels[0], data.labels[6]);
-    EXPECT_TRUE(bitwiseEqual(buffer.images[2], data.images[8]));
+    ASSERT_EQ(std::get<ClassDataset>(buffer).images.size(), 6u);
+    EXPECT_EQ(std::get<ClassDataset>(buffer).labels[0], data.labels[6]);
+    EXPECT_TRUE(bitwiseEqual(std::get<ClassDataset>(buffer).images[2],
+                             data.images[8]));
 
     // A second decode into the warm buffer lands the other shard's data.
     decodeShardInto(manifest, 0, buffer);
-    EXPECT_EQ(buffer.labels[0], data.labels[0]);
-    EXPECT_TRUE(bitwiseEqual(buffer.images[5], data.images[5]));
+    EXPECT_EQ(std::get<ClassDataset>(buffer).labels[0], data.labels[0]);
+    EXPECT_TRUE(bitwiseEqual(std::get<ClassDataset>(buffer).images[5],
+                             data.images[5]));
+}
+
+TEST(ShardFormat, ShardBufferSwitchesKindAndBack)
+{
+    TempDir dir;
+    ClassDataset digits = makeSynthDigits(6, 2);
+    SegDataset city = makeSynthCity(4, 5);
+    PackOptions options;
+    options.shard_samples = 3;
+    DatasetManifest class_manifest =
+        writeShards(digits, dir.sub("class"), options);
+    DatasetManifest seg_manifest = writeShards(city, dir.sub("seg"));
+
+    // One buffer takes a class shard, a seg shard, then the class shard
+    // again, and holds the packed samples bitwise each time.
+    ShardBuffer buffer;
+    auto expectClassShard = [&] {
+        decodeShardInto(class_manifest, 1, buffer);
+        const ClassDataset &got = std::get<ClassDataset>(buffer);
+        ASSERT_EQ(got.size(), 3u);
+        EXPECT_EQ(got.num_classes, digits.num_classes);
+        for (std::size_t i = 0; i < 3; ++i) {
+            EXPECT_EQ(got.labels[i], digits.labels[3 + i]);
+            EXPECT_TRUE(bitwiseEqual(got.images[i], digits.images[3 + i]));
+        }
+    };
+    expectClassShard();
+    decodeShardInto(seg_manifest, 0, buffer);
+    const SegDataset &seg = std::get<SegDataset>(buffer);
+    ASSERT_EQ(seg.size(), city.size());
+    for (std::size_t i = 0; i < city.size(); ++i) {
+        EXPECT_TRUE(bitwiseEqual(seg.images[i], city.images[i]));
+        EXPECT_TRUE(bitwiseEqual(seg.masks[i], city.masks[i]));
+    }
+    expectClassShard();
 }
 
 // --------------------------------------------------------------------------
@@ -289,7 +327,7 @@ TEST(StreamedTraining, MatchesPreloadedBitwiseAcrossSchedules)
     options.shard_samples = 8;
     DatasetManifest manifest = writeShards(raw, dir.sub("train"), options);
 
-    ClassDataset preloaded = materializeClassDataset(manifest);
+    ClassDataset preloaded = materialize<ClassDataset>(manifest);
     for (std::size_t workers : {std::size_t{1}, std::size_t{2},
                                 std::size_t{4}}) {
         InMemoryClassSource memory(preloaded, manifest.shardSizes());
@@ -379,7 +417,6 @@ TEST(StreamedTraining, StageIndicesServesRandomAccess)
         EXPECT_EQ(source.label(i), raw.labels[i]);
         EXPECT_TRUE(bitwiseEqual(source.image(i), raw.images[i]));
     }
-    EXPECT_EQ(source.numClasses(), raw.num_classes);
 }
 
 // --------------------------------------------------------------------------
@@ -463,6 +500,57 @@ TEST(ShardValidation, StreamPoisonsOnMidEpochCorruption)
     source.beginEpoch(&order);
     expectDataError([&] { source.stageRange(0, 8); }, "checksum");
     source.endEpoch();
+}
+
+TEST(ShardValidation, KindMismatchNamesBothKinds)
+{
+    TempDir dir;
+    DatasetManifest class_manifest =
+        writeShards(makeSynthDigits(4, 1), dir.sub("class"));
+    DatasetManifest seg_manifest =
+        writeShards(makeSynthCity(4, 1), dir.sub("seg"));
+    for (const char *kind : {"'class'", "'seg'"})
+        expectDataError(
+            [&] { ShardedSegSource source(class_manifest, 1); }, kind);
+    for (const char *kind : {"'seg'", "'rgb'"})
+        expectDataError([&] { materialize<RgbDataset>(seg_manifest); },
+                        kind);
+}
+
+TEST(ShardValidation, OutOfRangeLabelsAreRejected)
+{
+    TempDir dir;
+    ClassDataset raw = makeSynthDigits(8, 4);
+    raw.labels[3] = 42;
+    raw.labels[6] = -1;
+
+    // The writer refuses before touching the disk.
+    expectDataError([&] { writeShards(raw, dir.sub("d")); }, "sample 3");
+    expectDataError([&] { writeShards(raw, dir.sub("d")); }, "label 42");
+    EXPECT_FALSE(std::filesystem::exists(dir.sub("d")));
+
+    // Shards packed under a wider class count, then served under a
+    // 10-class manifest: every decode path names shard, sample and label.
+    raw.num_classes = 43;
+    raw.labels[6] = 5;
+    PackOptions options;
+    options.shard_samples = 4;
+    DatasetManifest manifest = writeShards(raw, dir.sub("d"), options);
+    manifest.num_classes = 10;
+    ShardBuffer buffer;
+    for (const char *needle : {"shard_00000.bin", "sample 3", "label 42"}) {
+        expectDataError([&] { decodeShardInto(manifest, 0, buffer); },
+                        needle);
+        expectDataError([&] { validateManifest(manifest); }, needle);
+        expectDataError([&] { materialize<ClassDataset>(manifest); },
+                        needle);
+    }
+    decodeShardInto(manifest, 1, buffer); // labels 0-9 only: decodes
+
+    RgbDataset scenes = makeSynthScenes(3, 3);
+    scenes.labels[2] = static_cast<int>(scenes.num_classes);
+    expectDataError([&] { writeShards(scenes, dir.sub("rgb")); },
+                    "sample 2");
 }
 
 TEST(ShardValidation, ManifestRejectsUnknownKeysAndWrongFormat)

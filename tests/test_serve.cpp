@@ -924,6 +924,35 @@ TEST(InferenceEngine, RetryAfterSecondsStaysClamped)
     EXPECT_LE(after, 60);
 }
 
+TEST(BatchingConfig, FromJsonReadsCheckedIntegers)
+{
+    BatchingConfig config =
+        BatchingConfig::fromJson(Json::parse(R"({"max_batch": 64})"));
+    EXPECT_EQ(config.max_batch, 64u);
+    EXPECT_EQ(config.max_queue, BatchingConfig{}.max_queue);
+    config = BatchingConfig::fromJson(
+        Json::parse(R"({"max_batch": 1, "max_queue": 2})"));
+    EXPECT_EQ(config.max_batch, 1u);
+    EXPECT_EQ(config.max_queue, 2u);
+
+    // A negative, zero, fractional or huge value used to reach a
+    // size_t cast: -1 wrapped, 2.5 truncated, 1e300 was undefined.
+    auto expectNamed = [](const std::string &body, const std::string &field) {
+        try {
+            BatchingConfig::fromJson(Json::parse(body));
+            FAIL() << "expected JsonError for " << body;
+        } catch (const JsonError &e) {
+            EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+                << e.what();
+        }
+    };
+    for (const std::string field : {"max_batch", "max_queue"})
+        for (const char *value : {"-1", "0", "2.5", "1e300"})
+            expectNamed("{\"" + field + "\": " + value + "}", field);
+    expectNamed(R"({"max_batch": 4, "max_queued": 8})", "max_queued");
+    EXPECT_THROW(BatchingConfig::fromJson(Json::parse("[64]")), JsonError);
+}
+
 TEST(InferenceEngine, NonOkResponsesKeepTheContract)
 {
     ModelRegistry registry;
