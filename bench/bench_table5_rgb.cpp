@@ -86,9 +86,9 @@ main()
                        std::make_pair(&base, "baseline [68]")}) {
         MultiChannelDonn *model = entry.first;
         const char *name = entry.second;
-        Real t1 = evaluateRgbTopK(*model, test, 1);
-        Real t3 = evaluateRgbTopK(*model, test, 3);
-        Real t5 = evaluateRgbTopK(*model, test, 5);
+        Real t1 = evaluateTopK(*model, test, 1);
+        Real t3 = evaluateTopK(*model, test, 3);
+        Real t5 = evaluateTopK(*model, test, 5);
         std::printf("%-24s %-8.3f %-8.3f %-8.3f\n", name, t1, t3, t5);
         csv.row({name, std::to_string(t1), std::to_string(t3),
                  std::to_string(t5)});

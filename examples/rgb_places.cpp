@@ -61,7 +61,7 @@ main(int argc, char **argv)
     std::printf("\n=== RGB-DONN (Table 5 style) ===\n");
     for (std::size_t k : {std::size_t(1), std::size_t(3)})
         std::printf("top-%zu accuracy: %.3f\n", k,
-                    evaluateRgbTopK(rgb, test, k));
+                    evaluateTopK(rgb, test, k));
 
     // Grayscale single-stack baseline for comparison.
     ClassDataset gray_train, gray_test;

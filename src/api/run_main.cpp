@@ -171,10 +171,17 @@ main(int argc, char **argv)
         }
     }
 
-    if (args.has("workers"))
+    if (args.has("workers")) {
+        int workers = 0;
+        try {
+            workers = args.getInt("workers", 0, 0);
+        } catch (const CliError &e) {
+            std::fprintf(stderr, "lightridge_run: %s\n", e.what());
+            return 1;
+        }
         for (ExperimentSpec &spec : specs)
-            spec.train.workers =
-                static_cast<std::size_t>(args.getInt("workers", 0));
+            spec.train.workers = static_cast<std::size_t>(workers);
+    }
     const bool quiet = args.getBool("quiet", false);
     const bool sweep = args.getBool("robustness-sweep", false);
 

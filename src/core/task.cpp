@@ -1,6 +1,7 @@
 #include "core/task.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "core/skip.hpp"
@@ -68,11 +69,136 @@ modelLayerHops(const DonnModel &model)
     return hops;
 }
 
+namespace {
+
+/**
+ * The optical stacks of a model, each with its own noise rng binding,
+ * Gumbel temperature and detector amp factor: a DonnModel is one stack,
+ * a MultiChannelDonn has one per channel.
+ */
+std::size_t
+stackCount(const DonnModel &)
+{
+    return 1;
+}
+
+std::size_t
+stackCount(const MultiChannelDonn &model)
+{
+    return model.numChannels();
+}
+
+DonnModel &
+stackAt(DonnModel &model, std::size_t)
+{
+    return model;
+}
+
+DonnModel &
+stackAt(MultiChannelDonn &model, std::size_t s)
+{
+    return model.channel(s);
+}
+
+/** Inference logits of one sample (const and cache-free: thread-safe). */
+std::vector<Real>
+sampleLogits(const DonnModel &model, const RealMap &image)
+{
+    Field u = model.encode(image);
+    return model.inferLogitsInPlace(u, PropagationWorkspace::threadLocal());
+}
+
+std::vector<Real>
+sampleLogits(const MultiChannelDonn &model, const std::array<RealMap, 3> &rgb)
+{
+    return model.inferLogits(model.encode(rgb));
+}
+
+/**
+ * Set every stack's detector amp factor so the mean top logit over a
+ * probe of the training set (`calib_probe` samples, else
+ * `default_probe`) lands on `calib_target`.
+ */
+template <typename Model, typename Dataset>
+void
+calibrateAmpFactor(Model &model, RecordSource<Dataset> &source,
+                   const TrainConfig &config, std::size_t default_probe)
+{
+    std::size_t probe =
+        config.calib_probe > 0 ? config.calib_probe : default_probe;
+    probe = std::min(probe, source.size());
+    if (probe == 0)
+        return;
+    source.stageIndices(0, probe);
+    for (std::size_t s = 0; s < stackCount(model); ++s)
+        stackAt(model, s).detector().setAmpFactor(1.0);
+    Real mean_top = 0;
+    for (std::size_t i = 0; i < probe; ++i) {
+        std::vector<Real> logits = sampleLogits(model, source.image(i));
+        mean_top += *std::max_element(logits.begin(), logits.end());
+    }
+    mean_top /= static_cast<Real>(probe);
+    if (mean_top > 0) {
+        const Real amp = config.calib_target / mean_top;
+        for (std::size_t s = 0; s < stackCount(model); ++s)
+            stackAt(model, s).detector().setAmpFactor(amp);
+        LR_LOG(Debug) << "calibrated amp_factor=" << amp;
+    }
+}
+
+/**
+ * Top-k hit rate over `data` for each k of `ks`: samples infer in
+ * parallel, and hits reduce in index order so the rates do not depend on
+ * scheduling.
+ */
+template <typename Model, typename Dataset>
+std::vector<Real>
+topKHits(const Model &model, const Dataset &data,
+         const std::vector<std::size_t> &ks)
+{
+    std::vector<Real> rates(ks.size(), 0);
+    if (data.size() == 0)
+        return rates;
+    std::vector<std::uint8_t> hit(data.size() * ks.size(), 0);
+    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
+        std::vector<Real> logits = sampleLogits(model, data.images[i]);
+        for (std::size_t j = 0; j < ks.size(); ++j)
+            hit[i * ks.size() + j] =
+                topKContains(logits, data.labels[i], ks[j]) ? 1 : 0;
+    });
+    for (std::size_t j = 0; j < ks.size(); ++j) {
+        std::size_t hits = 0;
+        for (std::size_t i = 0; i < data.size(); ++i)
+            hits += hit[i * ks.size() + j];
+        rates[j] = static_cast<Real>(hits) / data.size();
+    }
+    return rates;
+}
+
+} // namespace
+
 // --------------------------------------------------------------------------
-// DonnTaskBase replica engine
+// ModelTask: source binding and replica engine
 // --------------------------------------------------------------------------
 
-DonnTaskBase::Replica::Replica(const DonnModel &source, uint64_t seed)
+template <typename Model, typename Dataset>
+ModelTask<Model, Dataset>::ModelTask(Model &model, const Dataset &train,
+                                     const Dataset *test)
+    : model_(model),
+      own_source_(std::make_unique<InMemorySource<Dataset>>(train)),
+      source_(own_source_.get()), test_(test)
+{}
+
+template <typename Model, typename Dataset>
+ModelTask<Model, Dataset>::ModelTask(Model &model,
+                                     RecordSource<Dataset> &train,
+                                     const Dataset *test)
+    : model_(model), source_(&train), test_(test)
+{}
+
+template <typename Model, typename Dataset>
+ModelTask<Model, Dataset>::Replica::Replica(const Model &source,
+                                            uint64_t seed)
     : model(source.clone()), rng(seed)
 {
     // clone() copies rng_ pointers as-is; point every noise-enabled
@@ -80,12 +206,14 @@ DonnTaskBase::Replica::Replica(const DonnModel &source, uint64_t seed)
     // source instead, so a replica never shares the primary's
     // (non-thread-safe) rng with worker 0. Noiseless layers stay
     // noiseless, matching the primary exactly.
-    bindModelNoiseRng(model, &rng);
+    for (std::size_t s = 0; s < stackCount(model); ++s)
+        bindModelNoiseRng(stackAt(model, s), &rng);
     params = model.params();
 }
 
+template <typename Model, typename Dataset>
 void
-DonnTaskBase::buildReplicas(const std::vector<uint64_t> &seeds)
+ModelTask<Model, Dataset>::buildReplicas(const std::vector<uint64_t> &seeds)
 {
     // Rebuilt every epoch: clones capture the current tau/gamma annealing
     // state and detector calibration, and per-epoch seeds keep Gumbel
@@ -96,37 +224,31 @@ DonnTaskBase::buildReplicas(const std::vector<uint64_t> &seeds)
         replicas_.push_back(std::make_unique<Replica>(model_, seed));
 }
 
-std::vector<ParamView>
-DonnTaskBase::replicaParams(std::size_t r)
-{
-    return replicas_[r]->params;
-}
-
+template <typename Model, typename Dataset>
 void
-DonnTaskBase::zeroReplicaGrad(std::size_t r)
-{
-    replicas_[r]->model.zeroGrad();
-}
-
-SampleResult
-DonnTaskBase::trainSampleOn(std::size_t r, std::size_t index)
-{
-    return sampleStep(replicas_[r]->model, index);
-}
-
-void
-DonnTaskBase::syncReplicas()
+ModelTask<Model, Dataset>::syncReplicas()
 {
     std::vector<ParamView> main_params = model_.params();
     for (auto &replica : replicas_) {
         for (std::size_t p = 0; p < main_params.size(); ++p)
             *replica->params[p].value = *main_params[p].value;
-        replica->model.detector().setAmpFactor(model_.detector().ampFactor());
+        for (std::size_t s = 0; s < stackCount(model_); ++s)
+            stackAt(replica->model, s).detector().setAmpFactor(
+                stackAt(model_, s).detector().ampFactor());
     }
 }
 
+template <typename Model, typename Dataset>
 void
-DonnTaskBase::setPerturbationSpec(const PerturbationSpec &spec)
+ModelTask<Model, Dataset>::setTau(Real tau)
+{
+    for (std::size_t s = 0; s < stackCount(model_); ++s)
+        applyModelTau(stackAt(model_, s), tau);
+}
+
+template <typename Dataset>
+void
+DonnTask<Dataset>::setPerturbationSpec(const PerturbationSpec &spec)
 {
     if (!spec.active()) {
         clearPerturbation();
@@ -134,11 +256,13 @@ DonnTaskBase::setPerturbationSpec(const PerturbationSpec &spec)
         return;
     }
     perturb_sampler_ = std::make_unique<PerturbationSampler>(
-        spec, modelLayerHops(model_), model_.hopPropagator().get());
+        spec, modelLayerHops(this->model_),
+        this->model_.hopPropagator().get());
 }
 
+template <typename Dataset>
 void
-DonnTaskBase::samplePerturbation(uint64_t draw_seed)
+DonnTask<Dataset>::samplePerturbation(uint64_t draw_seed)
 {
     if (!perturb_sampler_)
         return;
@@ -146,60 +270,36 @@ DonnTaskBase::samplePerturbation(uint64_t draw_seed)
     // values are seed-determined (identical at any worker count) and
     // read-only while workers are in flight.
     perturb_sampler_->sample(draw_seed, perturb_realization_);
-    model_.setPerturbation(&perturb_realization_);
-    for (auto &replica : replicas_)
+    this->model_.setPerturbation(&perturb_realization_);
+    for (auto &replica : this->replicas_)
         replica->model.setPerturbation(&perturb_realization_);
 }
 
+template <typename Dataset>
 void
-DonnTaskBase::clearPerturbation()
+DonnTask<Dataset>::clearPerturbation()
 {
-    model_.setPerturbation(nullptr);
-    for (auto &replica : replicas_)
+    this->model_.setPerturbation(nullptr);
+    for (auto &replica : this->replicas_)
         replica->model.setPerturbation(nullptr);
 }
+
+template class ModelTask<DonnModel, ClassDataset>;
+template class ModelTask<DonnModel, SegDataset>;
+template class ModelTask<MultiChannelDonn, RgbDataset>;
+template class DonnTask<ClassDataset>;
+template class DonnTask<SegDataset>;
 
 // --------------------------------------------------------------------------
 // ClassificationTask
 // --------------------------------------------------------------------------
-
-ClassificationTask::ClassificationTask(DonnModel &model,
-                                       const ClassDataset &train,
-                                       const ClassDataset *test)
-    : DonnTaskBase(model),
-      own_source_(std::make_unique<InMemoryClassSource>(train)),
-      source_(own_source_.get()), test_(test)
-{}
-
-ClassificationTask::ClassificationTask(DonnModel &model, ClassSource &train,
-                                       const ClassDataset *test)
-    : DonnTaskBase(model), source_(&train), test_(test)
-{}
 
 void
 ClassificationTask::calibrate()
 {
     if (config_.gamma > 0)
         applyModelGamma(model_, config_.gamma);
-
-    std::size_t probe = config_.calib_probe > 0 ? config_.calib_probe : 16;
-    probe = std::min(probe, source_->size());
-    if (probe == 0)
-        return;
-    source_->stageIndices(0, probe);
-    Real mean_top = 0;
-    model_.detector().setAmpFactor(1.0);
-    for (std::size_t i = 0; i < probe; ++i) {
-        Field u = model_.encode(source_->image(i));
-        std::vector<Real> logits = model_.inferLogitsInPlace(
-            u, PropagationWorkspace::threadLocal());
-        mean_top += *std::max_element(logits.begin(), logits.end());
-    }
-    mean_top /= static_cast<Real>(probe);
-    if (mean_top > 0)
-        model_.detector().setAmpFactor(config_.calib_target / mean_top);
-    LR_LOG(Debug) << "calibrated amp_factor="
-                  << model_.detector().ampFactor();
+    calibrateAmpFactor(model_, *source_, config_, 16);
 }
 
 SampleResult
@@ -228,46 +328,15 @@ ClassificationTask::sampleStep(DonnModel &model, std::size_t index)
 TaskMetrics
 ClassificationTask::evaluate()
 {
-    TaskMetrics metrics;
-    if (test_ == nullptr || test_->size() == 0)
-        return metrics;
-    const ClassDataset &data = *test_;
-
-    std::vector<std::uint8_t> hit1(data.size(), 0);
-    std::vector<std::uint8_t> hit3(data.size(), 0);
-    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
-        std::vector<Real> logits =
-            model_.detector().readout(
-                model_.inferField(model_.encode(data.images[i])));
-        hit1[i] = topKContains(logits, data.labels[i], 1) ? 1 : 0;
-        hit3[i] = topKContains(logits, data.labels[i], 3) ? 1 : 0;
-    });
-
-    std::size_t top1 = 0, top3 = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        top1 += hit1[i];
-        top3 += hit3[i];
-    }
-    metrics.primary = static_cast<Real>(top1) / data.size();
-    metrics.top3 = static_cast<Real>(top3) / data.size();
-    return metrics;
+    if (test_ == nullptr)
+        return {};
+    const std::vector<Real> hits = topKHits(model_, *test_, {1, 3});
+    return {hits[0], hits[1]};
 }
 
 // --------------------------------------------------------------------------
 // SegmentationTask
 // --------------------------------------------------------------------------
-
-SegmentationTask::SegmentationTask(DonnModel &model, const SegDataset &train,
-                                   const SegDataset *test)
-    : DonnTaskBase(model),
-      own_source_(std::make_unique<InMemorySegSource>(train)),
-      source_(own_source_.get()), test_(test)
-{}
-
-SegmentationTask::SegmentationTask(DonnModel &model, SegSource &train,
-                                   const SegDataset *test)
-    : DonnTaskBase(model), source_(&train), test_(test)
-{}
 
 void
 SegmentationTask::calibrate()
@@ -405,48 +474,10 @@ SegmentationTask::evaluateMse(const SegDataset &data)
 // RgbTask
 // --------------------------------------------------------------------------
 
-RgbTask::Replica::Replica(const MultiChannelDonn &source, uint64_t seed)
-    : model(source.clone()), rng(seed)
-{
-    for (std::size_t ch = 0; ch < model.numChannels(); ++ch)
-        bindModelNoiseRng(model.channel(ch), &rng);
-    params = model.params();
-}
-
-RgbTask::RgbTask(MultiChannelDonn &model, const RgbDataset &train,
-                 const RgbDataset *test)
-    : model_(model),
-      own_source_(std::make_unique<InMemoryRgbSource>(train)),
-      source_(own_source_.get()), test_(test)
-{}
-
-RgbTask::RgbTask(MultiChannelDonn &model, RgbSource &train,
-                 const RgbDataset *test)
-    : model_(model), source_(&train), test_(test)
-{}
-
 void
 RgbTask::calibrate()
 {
-    std::size_t probe = config_.calib_probe > 0 ? config_.calib_probe : 8;
-    probe = std::min(probe, source_->size());
-    if (probe == 0)
-        return;
-    source_->stageIndices(0, probe);
-    Real mean_top = 0;
-    for (std::size_t ch = 0; ch < model_.numChannels(); ++ch)
-        model_.channel(ch).detector().setAmpFactor(1.0);
-    for (std::size_t i = 0; i < probe; ++i) {
-        std::vector<Real> logits =
-            model_.inferLogits(model_.encode(source_->image(i)));
-        mean_top += *std::max_element(logits.begin(), logits.end());
-    }
-    mean_top /= static_cast<Real>(probe);
-    if (mean_top > 0) {
-        Real amp = config_.calib_target / mean_top;
-        for (std::size_t ch = 0; ch < model_.numChannels(); ++ch)
-            model_.channel(ch).detector().setAmpFactor(amp);
-    }
+    calibrateAmpFactor(model_, *source_, config_, 8);
 }
 
 SampleResult
@@ -466,88 +497,13 @@ RgbTask::sampleStep(MultiChannelDonn &model, std::size_t index)
     return result;
 }
 
-SampleResult
-RgbTask::trainSample(std::size_t index)
-{
-    return sampleStep(model_, index);
-}
-
-void
-RgbTask::buildReplicas(const std::vector<uint64_t> &seeds)
-{
-    replicas_.clear();
-    replicas_.reserve(seeds.size());
-    for (uint64_t seed : seeds)
-        replicas_.push_back(std::make_unique<Replica>(model_, seed));
-}
-
-std::vector<ParamView>
-RgbTask::replicaParams(std::size_t r)
-{
-    return replicas_[r]->params;
-}
-
-void
-RgbTask::zeroReplicaGrad(std::size_t r)
-{
-    replicas_[r]->model.zeroGrad();
-}
-
-SampleResult
-RgbTask::trainSampleOn(std::size_t r, std::size_t index)
-{
-    return sampleStep(replicas_[r]->model, index);
-}
-
-void
-RgbTask::syncReplicas()
-{
-    std::vector<ParamView> main_params = model_.params();
-    for (auto &replica : replicas_) {
-        for (std::size_t p = 0; p < main_params.size(); ++p)
-            *replica->params[p].value = *main_params[p].value;
-        for (std::size_t ch = 0; ch < model_.numChannels(); ++ch)
-            replica->model.channel(ch).detector().setAmpFactor(
-                model_.channel(ch).detector().ampFactor());
-    }
-}
-
-void
-RgbTask::setTau(Real tau)
-{
-    for (std::size_t ch = 0; ch < model_.numChannels(); ++ch)
-        applyModelTau(model_.channel(ch), tau);
-}
-
 TaskMetrics
 RgbTask::evaluate()
 {
-    TaskMetrics metrics;
-    if (test_ == nullptr || test_->size() == 0)
-        return metrics;
-    const RgbDataset &data = *test_;
-    std::vector<std::uint8_t> hit1(data.size(), 0);
-    std::vector<std::uint8_t> hit3(data.size(), 0);
-    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
-        std::vector<Real> logits =
-            model_.inferLogits(model_.encode(data.images[i]));
-        hit1[i] = topKContains(logits, data.labels[i], 1) ? 1 : 0;
-        hit3[i] = topKContains(logits, data.labels[i], 3) ? 1 : 0;
-    });
-    std::size_t top1 = 0, top3 = 0;
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        top1 += hit1[i];
-        top3 += hit3[i];
-    }
-    metrics.primary = static_cast<Real>(top1) / data.size();
-    metrics.top3 = static_cast<Real>(top3) / data.size();
-    return metrics;
-}
-
-bool
-RgbTask::save(const std::string &path) const
-{
-    return model_.save(path);
+    if (test_ == nullptr)
+        return {};
+    const std::vector<Real> hits = topKHits(model_, *test_, {1, 3});
+    return {hits[0], hits[1]};
 }
 
 // --------------------------------------------------------------------------
@@ -606,43 +562,13 @@ evaluateWithConfidence(DonnModel &model, const ClassDataset &data,
 Real
 evaluateTopK(DonnModel &model, const ClassDataset &data, std::size_t k)
 {
-    if (data.size() == 0)
-        return 0;
-    std::vector<std::uint8_t> hit(data.size(), 0);
-    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
-        std::vector<Real> logits =
-            model.detector().readout(
-                model.inferField(model.encode(data.images[i])));
-        hit[i] = topKContains(logits, data.labels[i], k) ? 1 : 0;
-    });
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < data.size(); ++i)
-        hits += hit[i];
-    return static_cast<Real>(hits) / data.size();
+    return topKHits(model, data, {k})[0];
 }
 
 Real
-evaluateRgbAccuracy(MultiChannelDonn &model, const RgbDataset &data)
+evaluateTopK(MultiChannelDonn &model, const RgbDataset &data, std::size_t k)
 {
-    return evaluateRgbTopK(model, data, 1);
-}
-
-Real
-evaluateRgbTopK(MultiChannelDonn &model, const RgbDataset &data,
-                std::size_t k)
-{
-    if (data.size() == 0)
-        return 0;
-    std::vector<std::uint8_t> hit(data.size(), 0);
-    ThreadPool::global().parallelFor(data.size(), [&](std::size_t i) {
-        std::vector<Real> logits =
-            model.inferLogits(model.encode(data.images[i]));
-        hit[i] = topKContains(logits, data.labels[i], k) ? 1 : 0;
-    });
-    std::size_t hits = 0;
-    for (std::size_t i = 0; i < data.size(); ++i)
-        hits += hit[i];
-    return static_cast<Real>(hits) / data.size();
+    return topKHits(model, data, {k})[0];
 }
 
 } // namespace lightridge

@@ -6,9 +6,12 @@
  * behind a polymorphic interface the Session engine can drive without
  * knowing whether it is classifying digits on a single stack, mapping
  * street scenes to masks, or training the three-channel RGB architecture.
- * Tasks also own the data-parallel replica machinery (cloned models with
- * private noise streams) so every workload gets the batched training
- * pipeline, not just classification.
+ * One task base, ModelTask<Model, Dataset>, holds what every workload
+ * shares: the primary model, the source and test binding, and the
+ * data-parallel replica engine (cloned models with private noise
+ * streams). The three tasks differ only in calibration, the per-sample
+ * step and the metric; the two single-stack ones add vaccinated training
+ * through DonnTask<Dataset>.
  */
 #pragma once
 
@@ -252,15 +255,31 @@ void bindModelNoiseRng(DonnModel &model, Rng *rng);
 std::vector<const Propagator *> modelLayerHops(const DonnModel &model);
 
 /**
- * Shared replica machinery for tasks whose primary model is a DonnModel
- * (classification, segmentation). Derived tasks implement sampleStep()
- * against whichever model instance (primary or replica) the Session
- * schedules; both may run on pool threads at once.
+ * The engine every task shares, over a model kind (DonnModel, or the
+ * MultiChannelDonn of the RGB architecture) and a sample kind
+ * (ClassDataset, SegDataset or RgbDataset): the primary model, the
+ * training source and test set, and the data-parallel replicas. Derived
+ * tasks implement sampleStep() against whichever model instance (primary
+ * or replica) the Session schedules; both may run on pool threads at
+ * once.
  */
-class DonnTaskBase : public Task
+template <typename Model, typename Dataset>
+class ModelTask : public Task
 {
   public:
-    DonnModel &model() { return model_; }
+    /** Train from an in-memory dataset (borrowed; wrapped in a source). */
+    ModelTask(Model &model, const Dataset &train,
+              const Dataset *test = nullptr);
+
+    /** Train from any source of the kind (borrowed; e.g. sharded). */
+    ModelTask(Model &model, RecordSource<Dataset> &train,
+              const Dataset *test = nullptr);
+
+    Model &model() { return model_; }
+
+    std::size_t trainSize() const override { return source_->size(); }
+    DataSource *trainStream() override { return source_; }
+    bool hasTest() const override { return test_ != nullptr; }
 
     std::vector<ParamView> params() override { return model_.params(); }
     void zeroGrad() override { model_.zeroGrad(); }
@@ -271,16 +290,62 @@ class DonnTaskBase : public Task
 
     void buildReplicas(const std::vector<uint64_t> &seeds) override;
     std::size_t replicaCount() const override { return replicas_.size(); }
-    std::vector<ParamView> replicaParams(std::size_t r) override;
-    void zeroReplicaGrad(std::size_t r) override;
-    SampleResult trainSampleOn(std::size_t r, std::size_t index) override;
+    std::vector<ParamView> replicaParams(std::size_t r) override
+    {
+        return replicas_[r]->params;
+    }
+    void zeroReplicaGrad(std::size_t r) override
+    {
+        replicas_[r]->model.zeroGrad();
+    }
+    SampleResult trainSampleOn(std::size_t r, std::size_t index) override
+    {
+        return sampleStep(replicas_[r]->model, index);
+    }
     void syncReplicas() override;
 
-    void setTau(Real tau) override { applyModelTau(model_, tau); }
+    void setTau(Real tau) override;
     bool save(const std::string &path) const override
     {
         return model_.save(path);
     }
+
+  protected:
+    /** Forward/backward one sample against the given model instance. */
+    virtual SampleResult sampleStep(Model &model, std::size_t index) = 0;
+
+    /**
+     * The model of one data-parallel worker past worker 0: a full model
+     * replica (parameters copied, propagators shared) plus a private
+     * noise source so Gumbel sampling never races across threads.
+     * Parameter views are cached because the layer set of a replica is
+     * fixed.
+     */
+    struct Replica
+    {
+        Model model;
+        Rng rng;
+        std::vector<ParamView> params;
+
+        Replica(const Model &source, uint64_t seed);
+    };
+
+    Model &model_;
+    std::unique_ptr<InMemorySource<Dataset>> own_source_; ///< dataset ctor
+    RecordSource<Dataset> *source_;
+    const Dataset *test_;
+    std::vector<std::unique_ptr<Replica>> replicas_;
+};
+
+/**
+ * A single-stack task (classification, segmentation): the shared engine
+ * plus vaccinated training against a misalignment spec.
+ */
+template <typename Dataset>
+class DonnTask : public ModelTask<DonnModel, Dataset>
+{
+  public:
+    using ModelTask<DonnModel, Dataset>::ModelTask;
 
     /**
      * Bind a misalignment spec for vaccinated training: builds the
@@ -300,34 +365,10 @@ class DonnTaskBase : public Task
     /** Realization currently attached (nullptr when clean); tests. */
     const PerturbationRealization *currentPerturbation() const
     {
-        return model_.perturbation();
+        return this->model_.perturbation();
     }
 
-  protected:
-    explicit DonnTaskBase(DonnModel &model) : model_(model) {}
-
-    /** Forward/backward one sample against the given model instance. */
-    virtual SampleResult sampleStep(DonnModel &model, std::size_t index) = 0;
-
-    /**
-     * The model of one data-parallel worker past worker 0: a full model
-     * replica (parameters copied, propagators shared) plus a private
-     * noise source so Gumbel sampling never races across threads.
-     * Parameter views are cached because the layer set of a replica is
-     * fixed.
-     */
-    struct Replica
-    {
-        DonnModel model;
-        Rng rng;
-        std::vector<ParamView> params;
-
-        Replica(const DonnModel &source, uint64_t seed);
-    };
-
-    DonnModel &model_;
-    std::vector<std::unique_ptr<Replica>> replicas_;
-
+  private:
     /**
      * Vaccination state: the sampler (null = no spec bound) and the one
      * shared realization storage every batch draw overwrites. Replicas
@@ -339,27 +380,25 @@ class DonnTaskBase : public Task
     PerturbationRealization perturb_realization_;
 };
 
+extern template class ModelTask<DonnModel, ClassDataset>;
+extern template class ModelTask<DonnModel, SegDataset>;
+extern template class ModelTask<MultiChannelDonn, RgbDataset>;
+extern template class DonnTask<ClassDataset>;
+extern template class DonnTask<SegDataset>;
+
 /** Single-stack image classification workload (the paper's main task). */
-class ClassificationTask : public DonnTaskBase
+class ClassificationTask : public DonnTask<ClassDataset>
 {
   public:
-    /** Train from an in-memory dataset (borrowed; wrapped in a source). */
-    ClassificationTask(DonnModel &model, const ClassDataset &train,
-                       const ClassDataset *test = nullptr);
-
-    /** Train from any classification source (borrowed; e.g. sharded). */
-    ClassificationTask(DonnModel &model, ClassSource &train,
-                       const ClassDataset *test = nullptr);
+    using DonnTask::DonnTask;
 
     std::string kind() const override { return "classification"; }
-    std::size_t trainSize() const override { return source_->size(); }
-    DataSource *trainStream() override { return source_; }
-    bool hasTest() const override { return test_ != nullptr; }
 
     /**
-     * Calibrate detector amp_factor (and optionally per-layer gamma) on a
-     * probe of the training set so logits land in a numerically healthy
-     * softmax range regardless of system depth (Section 3.2).
+     * Apply TrainConfig::gamma (when set), then calibrate the detector
+     * amp_factor on a probe of the training set (16 samples by default)
+     * so logits land in a numerically healthy softmax range regardless
+     * of system depth (Section 3.2).
      */
     void calibrate() override;
 
@@ -368,29 +407,15 @@ class ClassificationTask : public DonnTaskBase
 
   protected:
     SampleResult sampleStep(DonnModel &model, std::size_t index) override;
-
-  private:
-    std::unique_ptr<InMemoryClassSource> own_source_; ///< legacy ctor only
-    ClassSource *source_;
-    const ClassDataset *test_;
 };
 
 /** Image-to-image workload (all-optical segmentation, Section 5.6.2). */
-class SegmentationTask : public DonnTaskBase
+class SegmentationTask : public DonnTask<SegDataset>
 {
   public:
-    /** Train from an in-memory dataset (borrowed; wrapped in a source). */
-    SegmentationTask(DonnModel &model, const SegDataset &train,
-                     const SegDataset *test = nullptr);
-
-    /** Train from any segmentation source (borrowed; e.g. sharded). */
-    SegmentationTask(DonnModel &model, SegSource &train,
-                     const SegDataset *test = nullptr);
+    using DonnTask::DonnTask;
 
     std::string kind() const override { return "segmentation"; }
-    std::size_t trainSize() const override { return source_->size(); }
-    DataSource *trainStream() override { return source_; }
-    bool hasTest() const override { return test_ != nullptr; }
 
     /** Calibrate the intensity scale so outputs can reach mask range. */
     void calibrate() override;
@@ -421,68 +446,30 @@ class SegmentationTask : public DonnTaskBase
     SampleResult sampleStep(DonnModel &model, std::size_t index) override;
 
   private:
-    std::unique_ptr<InMemorySegSource> own_source_; ///< legacy ctor only
-    SegSource *source_;
-    const SegDataset *test_;
     Real intensity_scale_ = 1.0;
     Real mask_mean_ = 0.25; ///< expected mask brightness (auto-exposure)
 };
 
 /** Multi-channel RGB classification workload (Section 5.6.1). */
-class RgbTask : public Task
+class RgbTask : public ModelTask<MultiChannelDonn, RgbDataset>
 {
   public:
-    /** Train from an in-memory dataset (borrowed; wrapped in a source). */
-    RgbTask(MultiChannelDonn &model, const RgbDataset &train,
-            const RgbDataset *test = nullptr);
-
-    /** Train from any RGB source (borrowed; e.g. sharded). */
-    RgbTask(MultiChannelDonn &model, RgbSource &train,
-            const RgbDataset *test = nullptr);
+    using ModelTask::ModelTask;
 
     std::string kind() const override { return "rgb"; }
-    std::size_t trainSize() const override { return source_->size(); }
-    DataSource *trainStream() override { return source_; }
-    bool hasTest() const override { return test_ != nullptr; }
 
+    /**
+     * Calibrate every channel's detector amp_factor (one shared value)
+     * on a probe of the training set, 8 samples by default.
+     */
     void calibrate() override;
-    std::vector<ParamView> params() override { return model_.params(); }
-    void zeroGrad() override { model_.zeroGrad(); }
-    SampleResult trainSample(std::size_t index) override;
-
-    void buildReplicas(const std::vector<uint64_t> &seeds) override;
-    std::size_t replicaCount() const override { return replicas_.size(); }
-    std::vector<ParamView> replicaParams(std::size_t r) override;
-    void zeroReplicaGrad(std::size_t r) override;
-    SampleResult trainSampleOn(std::size_t r, std::size_t index) override;
-    void syncReplicas() override;
-
-    void setTau(Real tau) override;
 
     /** Top-1 and top-3 accuracy over the bound test set. */
     TaskMetrics evaluate() override;
 
-    bool save(const std::string &path) const override;
-
-    MultiChannelDonn &model() { return model_; }
-
-  private:
-    SampleResult sampleStep(MultiChannelDonn &model, std::size_t index);
-
-    struct Replica
-    {
-        MultiChannelDonn model;
-        Rng rng;
-        std::vector<ParamView> params;
-
-        Replica(const MultiChannelDonn &source, uint64_t seed);
-    };
-
-    MultiChannelDonn &model_;
-    std::unique_ptr<InMemoryRgbSource> own_source_; ///< legacy ctor only
-    RgbSource *source_;
-    const RgbDataset *test_;
-    std::vector<std::unique_ptr<Replica>> replicas_;
+  protected:
+    SampleResult sampleStep(MultiChannelDonn &model,
+                            std::size_t index) override;
 };
 
 /** Accuracy of a model over a dataset (optionally with detector noise). */
@@ -499,16 +486,11 @@ EvalResult evaluateWithConfidence(DonnModel &model, const ClassDataset &data,
                                   Real noise_frac = 0.0, Rng *rng = nullptr);
 
 /**
- * Top-k accuracy for a single-stack classification model (top-k existed
- * only for the RGB architecture before; Table 5 reports top-1/3/5).
+ * Top-k accuracy of a single-stack or RGB classification model (Table 5
+ * reports top-1/3/5).
  */
 Real evaluateTopK(DonnModel &model, const ClassDataset &data, std::size_t k);
-
-/** Top-1 accuracy for an RGB model. */
-Real evaluateRgbAccuracy(MultiChannelDonn &model, const RgbDataset &data);
-
-/** Top-k accuracy for an RGB model (Table 5 reports top-1/3/5). */
-Real evaluateRgbTopK(MultiChannelDonn &model, const RgbDataset &data,
-                     std::size_t k);
+Real evaluateTopK(MultiChannelDonn &model, const RgbDataset &data,
+                  std::size_t k);
 
 } // namespace lightridge

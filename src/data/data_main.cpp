@@ -79,26 +79,18 @@ packCommand(const CliArgs &args)
         return 1;
     }
     const std::size_t samples =
-        static_cast<std::size_t>(args.getInt("samples", 300));
+        static_cast<std::size_t>(args.getInt("samples", 300, 1));
     const std::uint64_t seed =
-        static_cast<std::uint64_t>(args.getInt("seed", 7));
-    const int image_size = args.getInt("image-size", 0);
-    if (samples == 0) {
-        std::fprintf(stderr, "lightridge_data: --samples must be > 0\n");
-        return 1;
-    }
+        static_cast<std::uint64_t>(args.getInt("seed", 7, 0));
+    const int image_size = args.getInt("image-size", 0, 0);
 
     PackOptions options;
     if (args.has("shard-samples")) {
         options.shard_samples =
-            static_cast<std::size_t>(args.getInt("shard-samples", 0));
+            static_cast<std::size_t>(args.getInt("shard-samples", 0, 0));
     } else if (args.has("shards")) {
         const std::size_t shards =
-            static_cast<std::size_t>(args.getInt("shards", 1));
-        if (shards == 0) {
-            std::fprintf(stderr, "lightridge_data: --shards must be > 0\n");
-            return 1;
-        }
+            static_cast<std::size_t>(args.getInt("shards", 1, 1));
         options.shard_samples = (samples + shards - 1) / shards;
     }
 
@@ -181,6 +173,9 @@ main(int argc, char **argv)
             }
             return inspectCommand(path, command == "validate");
         }
+    } catch (const CliError &err) {
+        std::fprintf(stderr, "lightridge_data: %s\n", err.what());
+        return 1;
     } catch (const std::exception &err) {
         std::fprintf(stderr, "lightridge_data: %s\n", err.what());
         return 2;

@@ -1,5 +1,6 @@
 #include "data/shard.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -244,6 +245,21 @@ checkLabel(int label, std::size_t num_classes, std::size_t sample,
                         ")");
 }
 
+/**
+ * Throw DataError naming where() and the sample unless every value of
+ * the plane (an image channel or a mask) is finite.
+ */
+template <typename Where>
+void
+checkPlane(const RealMap &plane, std::size_t sample, const Where &where)
+{
+    for (std::size_t p = 0; p < plane.size(); ++p)
+        if (!std::isfinite(plane[p]))
+            throw DataError(where() + ": sample " + std::to_string(sample) +
+                            " has a non-finite pixel (" +
+                            std::to_string(plane[p]) + ")");
+}
+
 /** Read + validate one shard's header against its manifest entry. */
 ShardHeader
 readVerifiedHeader(const DatasetManifest &manifest, std::size_t shard,
@@ -329,7 +345,8 @@ takeLabel(const unsigned char *p, int &label)
 /**
  * Decode shard `shard`'s verified payload into samples [offset, offset
  * + n) of `out`, whose columns already hold them; a plane of the right
- * shape keeps its storage. Labels outside [0, num_classes) throw.
+ * shape keeps its storage. Non-finite pixels and labels outside
+ * [0, num_classes) throw.
  */
 template <typename Dataset>
 void
@@ -337,16 +354,16 @@ decodeRecordsInto(const DatasetManifest &manifest, std::size_t shard,
                   const std::vector<unsigned char> &raw, Dataset &out,
                   std::size_t offset)
 {
+    const auto where = [&] { return "shard " + manifest.shardPath(shard); };
     const unsigned char *p = raw.data();
     for (std::size_t i = 0; i < manifest.shards[shard].samples; ++i)
         forEachField(out, offset + i, [&](auto &field) {
             if constexpr (kIsPlane<decltype(field)>) {
                 p = takePlane(p, field, manifest.rows, manifest.cols);
+                checkPlane(field, i, where);
             } else {
                 p = takeLabel(p, field);
-                checkLabel(field, manifest.num_classes, i, [&] {
-                    return "shard " + manifest.shardPath(shard);
-                });
+                checkLabel(field, manifest.num_classes, i, where);
             }
         });
 }
@@ -578,10 +595,14 @@ DatasetManifest
 writeShards(const Dataset &data, const std::string &dir,
             const PackOptions &options)
 {
-    if constexpr (kLabeled<Dataset>)
-        for (std::size_t i = 0; i < data.size(); ++i)
-            checkLabel(data.labels[i], data.num_classes, i,
-                       [&] { return "dataset for " + dir; });
+    const auto where = [&] { return "dataset for " + dir; };
+    for (std::size_t i = 0; i < data.size(); ++i)
+        forEachField(data, i, [&](const auto &field) {
+            if constexpr (kIsPlane<decltype(field)>)
+                checkPlane(field, i, where);
+            else
+                checkLabel(field, data.num_classes, i, where);
+        });
     std::error_code ec;
     std::filesystem::create_directories(dir, ec);
 

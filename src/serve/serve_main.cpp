@@ -9,7 +9,7 @@
  *   lightridge_serve <manifest.json> [--requests=FILE|-] [--out=FILE]
  *                    [--stats=FILE] [--max-batch=N] [--max-queue=N]
  *                    [--quota=N] [--default-deadline-ms=MS]
- *                    [--sequential] [--no-logits] [--quiet]
+ *                    [--no-logits] [--quiet]
  *                    [--listen=HOST:PORT] [--io-threads=N]
  *                    [--max-connections=N] [--port-file=FILE]
  *
@@ -44,8 +44,11 @@
  * --port-file writes the resolved port for drivers.
  *
  * Responses are JSON lines in request order; a final stats JSON records
- * throughput and micro-batch shape. Exit codes: 0 success, 1 usage,
- * 2 manifest/spec error, 3 one or more requests failed (stdin mode).
+ * throughput and micro-batch shape. Integer flags must be whole integers
+ * in range (--max-batch and --max-queue >= 1, the --listen port in
+ * [0, 65535]); a bad flag value exits 1 naming the flag. Exit codes:
+ * 0 success, 1 usage, 2 manifest/spec error, 3 one or more requests
+ * failed (stdin mode).
  */
 #include <csignal>
 #include <cstdio>
@@ -79,7 +82,7 @@ usage()
         "                        [--out=FILE] [--stats=FILE]\n"
         "                        [--max-batch=N] [--max-queue=N]\n"
         "                        [--quota=N] [--default-deadline-ms=MS]\n"
-        "                        [--sequential] [--no-logits] [--quiet]\n"
+        "                        [--no-logits] [--quiet]\n"
         "                        [--listen=HOST:PORT] [--io-threads=N]\n"
         "                        [--max-connections=N] [--port-file=FILE]\n"
         "\n"
@@ -124,8 +127,6 @@ int
 runStdinMode(ServingService &service, InferenceEngine &engine,
              CliArgs &args, bool quiet)
 {
-    const bool sequential = args.getBool("sequential", false);
-
     const std::string requests_path = args.getString("requests", "-");
     std::ifstream request_file;
     std::istream *request_stream = &std::cin;
@@ -179,30 +180,18 @@ runStdinMode(ServingService &service, InferenceEngine &engine,
         (*out) << service.responseJson(response, label).dump() << "\n";
     };
 
-    if (sequential) {
-        // One-at-a-time dispatch: every request is its own micro-batch
-        // (the baseline the serving benchmark compares against).
-        for (ParsedServeRequest &p : parsed) {
-            std::future<InferResponse> future =
-                service.engine().submit(std::move(p.request));
-            emit(future, p.label);
-        }
-    } else {
-        std::vector<std::future<InferResponse>> futures;
-        futures.reserve(parsed.size());
-        for (ParsedServeRequest &p : parsed)
-            futures.push_back(
-                service.engine().submit(std::move(p.request)));
-        for (std::size_t i = 0; i < futures.size(); ++i)
-            emit(futures[i], parsed[i].label);
-    }
+    std::vector<std::future<InferResponse>> futures;
+    futures.reserve(parsed.size());
+    for (ParsedServeRequest &p : parsed)
+        futures.push_back(service.engine().submit(std::move(p.request)));
+    for (std::size_t i = 0; i < futures.size(); ++i)
+        emit(futures[i], parsed[i].label);
     // All futures resolved, but the dispatcher finishes its accounting
     // for the last batch after fulfilling the promises — drain() waits
     // for that so the stats snapshot is complete.
     engine.drain();
 
-    Json stats = statsJson(engine, wall.milliseconds(),
-                           sequential ? "sequential" : "batched");
+    Json stats = statsJson(engine, wall.milliseconds(), "batched");
     if (args.has("stats"))
         stats.save(args.getString("stats", ""));
     if (!quiet)
@@ -224,11 +213,11 @@ runSocketMode(ServingService &service, InferenceEngine &engine,
     }
     config.host = listen.substr(0, colon);
     config.port = static_cast<std::uint16_t>(
-        std::atoi(listen.c_str() + colon + 1));
+        parseIntFlag("listen port", listen.substr(colon + 1), 0, 65535));
     config.io_threads =
-        static_cast<std::size_t>(args.getInt("io-threads", 0));
+        static_cast<std::size_t>(args.getInt("io-threads", 0, 0));
     config.max_connections =
-        static_cast<std::size_t>(args.getInt("max-connections", 1024));
+        static_cast<std::size_t>(args.getInt("max-connections", 1024, 1));
     // All three shed paths (connection limit here, engine sheds and
     // submit-time overloads inside ServingService) advertise the same
     // backlog-derived Retry-After.
@@ -290,10 +279,8 @@ runSocketMode(ServingService &service, InferenceEngine &engine,
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+serve(int argc, char **argv)
 {
     if (argc < 2 || argv[1][0] == '-') {
         usage();
@@ -383,13 +370,13 @@ main(int argc, char **argv)
     }
     if (args.has("max-batch"))
         batching.max_batch =
-            static_cast<std::size_t>(args.getInt("max-batch", 64));
+            static_cast<std::size_t>(args.getInt("max-batch", 64, 1));
     if (args.has("max-queue"))
         batching.max_queue =
-            static_cast<std::size_t>(args.getInt("max-queue", 4096));
+            static_cast<std::size_t>(args.getInt("max-queue", 4096, 1));
     if (args.has("quota")) {
         batching.max_queued_per_model =
-            static_cast<std::size_t>(args.getInt("quota", 0));
+            static_cast<std::size_t>(args.getInt("quota", 0, 0));
     } else if (!listen.empty()) {
         // Socket default: shed (503 + Retry-After) at the queue bound
         // instead of blocking an IO thread on backpressure.
@@ -406,4 +393,17 @@ main(int argc, char **argv)
     return listen.empty()
                ? runStdinMode(service, engine, args, quiet)
                : runSocketMode(service, engine, args, listen, quiet);
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    try {
+        return serve(argc, argv);
+    } catch (const CliError &e) {
+        std::fprintf(stderr, "lightridge_serve: %s\n", e.what());
+        return 1;
+    }
 }

@@ -1,9 +1,28 @@
 #include "utils/cli.hpp"
 
+#include <charconv>
+#include <cmath>
 #include <cstdlib>
 #include <cstring>
 
 namespace lightridge {
+
+int
+parseIntFlag(const std::string &flag, const std::string &text, int lo, int hi)
+{
+    const char *end = text.data() + text.size();
+    int value = 0;
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc() && stop == end && value >= lo && value <= hi)
+        return value;
+    std::string what = "an integer";
+    if (hi < std::numeric_limits<int>::max())
+        what += " in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    else if (lo > std::numeric_limits<int>::min())
+        what += " >= " + std::to_string(lo);
+    throw CliError("--" + flag + " must be " + what + ", got \"" + text +
+                   "\"");
+}
 
 CliArgs::CliArgs(int argc, char **argv)
 {
@@ -40,18 +59,25 @@ double
 CliArgs::getDouble(const std::string &name, double fallback) const
 {
     auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty())
+    if (it == flags_.end())
         return fallback;
-    return std::atof(it->second.c_str());
+    const std::string &text = it->second;
+    const char *end = text.data() + text.size();
+    double value = 0;
+    const auto [stop, ec] = std::from_chars(text.data(), end, value);
+    if (ec == std::errc() && stop == end && std::isfinite(value) &&
+        value >= 0)
+        return value;
+    throw CliError("--" + name + " must be a finite number >= 0, got \"" +
+                   text + "\"");
 }
 
 int
-CliArgs::getInt(const std::string &name, int fallback) const
+CliArgs::getInt(const std::string &name, int fallback, int lo, int hi) const
 {
     auto it = flags_.find(name);
-    if (it == flags_.end() || it->second.empty())
-        return fallback;
-    return std::atoi(it->second.c_str());
+    return it == flags_.end() ? fallback
+                              : parseIntFlag(name, it->second, lo, hi);
 }
 
 bool

@@ -8,10 +8,26 @@
  */
 #pragma once
 
+#include <limits>
 #include <map>
+#include <stdexcept>
 #include <string>
 
 namespace lightridge {
+
+/** A malformed or out-of-range flag value; the message names the flag. */
+class CliError : public std::invalid_argument
+{
+  public:
+    using std::invalid_argument::invalid_argument;
+};
+
+/**
+ * Parse all of `text` as a base-10 integer in [lo, hi], else throw
+ * CliError naming `--flag` (CliArgs::getInt reads every flag this way).
+ */
+int parseIntFlag(const std::string &flag, const std::string &text, int lo,
+                 int hi);
 
 /** Parsed command line: flags plus positional arguments. */
 class CliArgs
@@ -29,11 +45,20 @@ class CliArgs
     std::string getString(const std::string &name,
                           const std::string &fallback) const;
 
-    /** Numeric flag with fallback. */
+    /**
+     * Numeric flag with fallback. A value given must be, whole, a finite
+     * number >= 0, else CliError naming the flag.
+     */
     double getDouble(const std::string &name, double fallback) const;
 
-    /** Integer flag with fallback. */
-    int getInt(const std::string &name, int fallback) const;
+    /**
+     * Integer flag with fallback. A value given must be, whole, a
+     * base-10 integer in [lo, hi] ("12x", "1e3" and "abc" throw), else
+     * CliError naming the flag.
+     */
+    int getInt(const std::string &name, int fallback,
+               int lo = std::numeric_limits<int>::min(),
+               int hi = std::numeric_limits<int>::max()) const;
 
     /** Boolean flag: present without value, or =true/=1. */
     bool getBool(const std::string &name, bool fallback) const;

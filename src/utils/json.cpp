@@ -361,7 +361,7 @@ std::uint64_t
 Json::asInteger(const std::string &what, std::uint64_t lo,
                 std::uint64_t hi) const
 {
-    const double v = asNumber();
+    const double v = isNumber() ? number_ : std::nan("");
     // 2^64 is exact as a double, so `v < 0x1p64` makes the cast defined;
     // the [lo, hi] test then runs on the integer.
     const bool whole = std::isfinite(v) && v == std::floor(v) && v >= 0 &&
@@ -372,9 +372,14 @@ Json::asInteger(const std::string &what, std::uint64_t lo,
     std::string range = ">= " + std::to_string(lo);
     if (hi != std::numeric_limits<std::uint64_t>::max())
         range = "in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
+    static const char *const kTypeNames[] = {"null",     "a bool",
+                                             "a number", "a string",
+                                             "an array", "an object"};
     char got[40];
     std::snprintf(got, sizeof(got), "%.17g", v);
-    throw JsonError(what + " must be an integer " + range + ", got " + got);
+    throw JsonError(what + " must be an integer " + range + ", got " +
+                    (isNumber() ? got
+                                : kTypeNames[static_cast<int>(type_)]));
 }
 
 Json

@@ -68,10 +68,10 @@ class Json
     /**
      * Checked integer read for input we do not control: the value must
      * be a number with no fractional part in [lo, hi], else JsonError
-     * naming `what` (0.5, 1e300 and -1 all throw; a non-number throws as
-     * asNumber() does). The test runs on the double before any cast, so
-     * no out-of-range value reaches an undefined float-to-integer
-     * conversion.
+     * naming `what` (0.5, 1e300 and -1 throw, and so do a string, a
+     * bool, null, an array and an object). The test runs on the double
+     * before any cast, so no out-of-range value reaches an undefined
+     * float-to-integer conversion.
      */
     std::uint64_t
     asInteger(const std::string &what, std::uint64_t lo = 0,

@@ -12,12 +12,14 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <iterator>
 #include <numeric>
 #include <string>
 #include <vector>
@@ -551,6 +553,59 @@ TEST(ShardValidation, OutOfRangeLabelsAreRejected)
     scenes.labels[2] = static_cast<int>(scenes.num_classes);
     expectDataError([&] { writeShards(scenes, dir.sub("rgb")); },
                     "sample 2");
+}
+
+TEST(ShardValidation, NonFinitePixelsAreRejected)
+{
+    TempDir dir;
+    ClassDataset raw = makeSynthDigits(8, 4);
+
+    // The writer refuses before touching the disk, images and masks alike.
+    ClassDataset poisoned = raw;
+    poisoned.images[3][5] = std::nan("");
+    expectDataError([&] { writeShards(poisoned, dir.sub("d")); },
+                    "sample 3");
+    expectDataError([&] { writeShards(poisoned, dir.sub("d")); },
+                    "non-finite");
+    EXPECT_FALSE(std::filesystem::exists(dir.sub("d")));
+    SegDataset city = makeSynthCity(3, 3);
+    city.masks[2][0] = HUGE_VAL;
+    expectDataError([&] { writeShards(city, dir.sub("seg")); }, "sample 2");
+
+    // A packed shard rewritten with a NaN and a +inf pixel in sample 3,
+    // both checksums updated to match: every decode path names the shard
+    // and the sample.
+    PackOptions options;
+    options.shard_samples = 4;
+    DatasetManifest manifest = writeShards(raw, dir.sub("d"), options);
+    const std::string path = manifest.shardPath(0);
+    const std::size_t record =
+        manifest.rows * manifest.cols * sizeof(Real) + sizeof(std::int32_t);
+    const Real bad[2] = {std::nan(""), HUGE_VAL};
+    patchFile(path, 56 + 3 * record + 5 * sizeof(Real), bad, sizeof(bad));
+    std::ifstream in(path, std::ios::binary);
+    const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                  std::istreambuf_iterator<char>());
+    const std::uint64_t sum = fnv1a64(bytes.data() + 56, bytes.size() - 56);
+    patchFile(path, 48, &sum, sizeof(sum)); // the header's checksum word
+    manifest.shards[0].checksum = sum;
+
+    ShardBuffer buffer;
+    for (const char *needle : {"shard_00000.bin", "sample 3", "non-finite"}) {
+        expectDataError([&] { decodeShardInto(manifest, 0, buffer); },
+                        needle);
+        expectDataError([&] { validateManifest(manifest); }, needle);
+        expectDataError([&] { materialize<ClassDataset>(manifest); },
+                        needle);
+    }
+    decodeShardInto(manifest, 1, buffer); // finite pixels only: decodes
+
+    ShardedClassSource source(manifest, 1);
+    std::vector<std::size_t> order(raw.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    source.beginEpoch(&order);
+    expectDataError([&] { source.stageRange(0, 8); }, "sample 3");
+    source.endEpoch();
 }
 
 TEST(ShardValidation, ManifestRejectsUnknownKeysAndWrongFormat)

@@ -240,12 +240,12 @@ TEST(Integration, RgbTrainingBeatsChance)
     tc.lr = 0.03;
     RgbTask task(model, train);
     Session(task, tc).fit();
-    Real top1 = evaluateRgbTopK(model, test, 1);
+    Real top1 = evaluateTopK(model, test, 1);
     EXPECT_GT(top1, 1.5 / train.num_classes); // beats chance with margin
     // top-k is monotone in k.
-    EXPECT_GE(evaluateRgbTopK(model, test, 3), top1);
-    EXPECT_GE(evaluateRgbTopK(model, test, 5),
-              evaluateRgbTopK(model, test, 3));
+    EXPECT_GE(evaluateTopK(model, test, 3), top1);
+    EXPECT_GE(evaluateTopK(model, test, 5),
+              evaluateTopK(model, test, 3));
 }
 
 TEST(Integration, ToSystemBundleRoundTripsLevels)

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "utils/json.hpp"
 
@@ -159,6 +160,20 @@ TEST(Json, CheckedIntegerAcceptsOnlyWholeNumbersInRange)
     EXPECT_THROW(Json(4097).asInteger("n", 0, 4096), JsonError);
     EXPECT_THROW(Json(0).asInteger("n", 1), JsonError);
     EXPECT_THROW(Json("7").asInteger("n"), JsonError);
+    // A non-number throws naming the field, as an out-of-range number does.
+    for (const Json &bad : {Json("8"), Json(true), Json(nullptr),
+                            Json(Json::Array{Json(8)}),
+                            Json(Json::Object{{"n", Json(8)}})}) {
+        SCOPED_TRACE(bad.dump());
+        try {
+            bad.asInteger("max_batch", 1);
+            ADD_FAILURE() << "expected JsonError";
+        } catch (const JsonError &e) {
+            EXPECT_NE(std::string(e.what()).find("max_batch"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     try {
         Json(-3).asInteger("workers");
         FAIL() << "expected JsonError";

@@ -410,6 +410,49 @@ TEST(SessionCallbacks, EarlyStopCallbackStopsOnPlateau)
     EXPECT_LT(history.size(), 40u);
 }
 
+/** One classification sample's forward/backward; returns its loss. */
+Real
+referenceStep(DonnModel &model, const ClassDataset &train, std::size_t idx,
+              LossKind kind)
+{
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    Field u = model.encode(train.images[idx]);
+    std::vector<Real> logits = model.forwardLogitsInPlace(u, true, workspace);
+    LossResult loss = classificationLoss(kind, logits, train.labels[idx]);
+    model.backwardFromLogitsInPlace(loss.dlogits, u, workspace);
+    return loss.value;
+}
+
+/**
+ * One RGB sample's forward/backward, unwound per channel as in
+ * legacyRgbLosses (independent of MultiChannelDonn's in-place training
+ * path); returns its loss.
+ */
+Real
+referenceStep(MultiChannelDonn &model, const RgbDataset &train,
+              std::size_t idx, LossKind kind)
+{
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    const std::size_t classes = model.channel(0).detector().numClasses();
+    std::vector<Field> fields = model.encode(train.images[idx]);
+    std::vector<Real> logits(classes, 0.0);
+    for (std::size_t ch = 0; ch < model.numChannels(); ++ch) {
+        DonnModel &channel = model.channel(ch);
+        channel.forwardFieldInPlace(fields[ch], true, workspace);
+        std::vector<Real> part = channel.detector().readout(fields[ch]);
+        for (std::size_t k = 0; k < classes; ++k)
+            logits[k] += part[k];
+    }
+    LossResult loss = classificationLoss(kind, logits, train.labels[idx]);
+    Field g;
+    for (std::size_t ch = 0; ch < model.numChannels(); ++ch) {
+        DonnModel &channel = model.channel(ch);
+        channel.detector().backwardForInto(fields[ch], loss.dlogits, g);
+        channel.backwardFieldInPlace(g, workspace);
+    }
+    return loss.value;
+}
+
 /**
  * Reference reimplementation of the data-parallel replica schedule: per
  * epoch, fresh replicas clone the primary;
@@ -418,8 +461,9 @@ TEST(SessionCallbacks, EarlyStopCallbackStopsOnPlateau)
  * Adam step; parameters redistributed. Noise-free layers only, so clone
  * seeds do not matter.
  */
+template <typename Model, typename Dataset>
 std::vector<Real>
-referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
+referenceSyncParallelLosses(Model &model, const Dataset &train,
                             const TrainConfig &cfg, std::size_t workers)
 {
     Adam optimizer(cfg.lr);
@@ -427,11 +471,10 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
     Rng rng(cfg.seed);
     std::vector<ParamView> main_params = model.params();
 
-    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
     std::vector<Real> losses;
     for (int epoch = 0; epoch < cfg.epochs; ++epoch) {
         std::vector<std::size_t> order = refOrder(train.size(), &rng);
-        std::vector<DonnModel> replicas;
+        std::vector<Model> replicas;
         for (std::size_t r = 0; r < workers; ++r)
             replicas.push_back(model.clone());
         Real loss_sum = 0;
@@ -441,19 +484,10 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
             std::size_t batch = std::min(cfg.batch, order.size() - start);
             std::size_t active = std::min(workers, batch);
             std::vector<Real> part(active, 0);
-            for (std::size_t r = 0; r < active; ++r) {
-                for (std::size_t j = r; j < batch; j += active) {
-                    std::size_t idx = order[start + j];
-                    Field u = replicas[r].encode(train.images[idx]);
-                    std::vector<Real> logits =
-                        replicas[r].forwardLogitsInPlace(u, true, workspace);
-                    LossResult loss = classificationLoss(
-                        cfg.loss, logits, train.labels[idx]);
-                    part[r] += loss.value;
-                    replicas[r].backwardFromLogitsInPlace(loss.dlogits, u,
-                                                          workspace);
-                }
-            }
+            for (std::size_t r = 0; r < active; ++r)
+                for (std::size_t j = r; j < batch; j += active)
+                    part[r] += referenceStep(replicas[r], train,
+                                             order[start + j], cfg.loss);
             for (std::size_t r = 0; r < active; ++r) {
                 loss_sum += part[r];
                 std::vector<ParamView> rep_params = replicas[r].params();
@@ -478,14 +512,15 @@ referenceSyncParallelLosses(DonnModel &model, const ClassDataset &train,
     return losses;
 }
 
-TEST(SessionParallel, MatchesSynchronousReferenceBitwise)
+/**
+ * Train `TaskT` over a fresh model from `build` at 2 and 4 workers and
+ * expect the per-epoch losses and the final parameters to equal the
+ * reference schedule's bit for bit.
+ */
+template <typename TaskT, typename Build, typename Dataset>
+void
+expectMatchesSynchronousReference(const Build &build, const Dataset &train)
 {
-    // The epoch loop must reproduce the synchronous schedule bit for
-    // bit, pinned against an independent reimplementation of that
-    // schedule (not against itself). The reference clones W replicas;
-    // the Session trains worker 0 on the primary and clones W - 1.
-    ClassDataset train = makeSynthDigits(13, 1); // ragged final batch
-
     for (std::size_t workers : {std::size_t{2}, std::size_t{4}}) {
         SCOPED_TRACE(workers);
         TrainConfig cfg;
@@ -496,12 +531,12 @@ TEST(SessionParallel, MatchesSynchronousReferenceBitwise)
         cfg.workers = workers;
         cfg.calibrate = false; // keep the reference loop minimal
 
-        DonnModel ref_model = classModel(9);
+        auto ref_model = build();
         std::vector<Real> reference =
             referenceSyncParallelLosses(ref_model, train, cfg, cfg.workers);
 
-        DonnModel model = classModel(9);
-        ClassificationTask task(model, train);
+        auto model = build();
+        TaskT task(model, train);
         std::vector<EpochStats> history = Session(task, cfg).fit();
 
         ASSERT_EQ(history.size(), reference.size());
@@ -513,6 +548,29 @@ TEST(SessionParallel, MatchesSynchronousReferenceBitwise)
         ASSERT_EQ(trained.size(), expected.size());
         for (std::size_t p = 0; p < trained.size(); ++p)
             EXPECT_EQ(*trained[p].value, *expected[p].value) << "param " << p;
+    }
+}
+
+TEST(SessionParallel, MatchesSynchronousReferenceBitwise)
+{
+    // The epoch loop must reproduce the synchronous schedule bit for
+    // bit, pinned against an independent reimplementation of that
+    // schedule (not against itself), for the single-stack and the RGB
+    // model. The reference clones W replicas; the Session trains worker
+    // 0 on the primary and clones W - 1.
+    {
+        SCOPED_TRACE("classification");
+        ClassDataset train = makeSynthDigits(13, 1); // ragged final batch
+        expectMatchesSynchronousReference<ClassificationTask>(
+            [] { return classModel(9); }, train);
+    }
+    {
+        SCOPED_TRACE("rgb");
+        SceneConfig scfg;
+        scfg.image_size = 16;
+        RgbDataset train = makeSynthScenes(13, 1, scfg);
+        expectMatchesSynchronousReference<RgbTask>(
+            [&] { return rgbModel(9, train.num_classes); }, train);
     }
 }
 

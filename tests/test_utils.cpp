@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -166,6 +167,45 @@ TEST(Cli, ParsesFlagsAndDefaults)
     EXPECT_EQ(args.getInt("missing", 7), 7);
     EXPECT_TRUE(args.has("fast"));
     EXPECT_FALSE(args.has("missing"));
+}
+
+TEST(Cli, NumericFlagsParseWholeValuesInRange)
+{
+    const char *argv[] = {"prog",       "--neg=-1",        "--word=abc",
+                          "--tail=12x", "--exp=1e3",       "--big=2147483648",
+                          "--ok=42",    "--ms=2.5",        "--nan=nan",
+                          "--inf=inf",  "--late=2.5ms"};
+    CliArgs args(11, const_cast<char **>(argv));
+    EXPECT_EQ(args.getInt("ok", 0, 1, 64), 42);
+    EXPECT_EQ(args.getInt("missing", 7, 1), 7);
+    EXPECT_EQ(args.getInt("neg", 0), -1); // inside the default range
+    for (const char *flag : {"neg", "word", "tail", "exp", "big", "ok"}) {
+        SCOPED_TRACE(flag);
+        try {
+            args.getInt(flag, 0, 0, 41);
+            ADD_FAILURE() << "expected CliError";
+        } catch (const CliError &e) {
+            EXPECT_NE(std::string(e.what()).find(std::string("--") + flag),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    EXPECT_THROW(args.getInt("big", 0), CliError); // 2^31 is not an int
+    try {
+        args.getInt("neg", 64, 1);
+        ADD_FAILURE() << "expected CliError";
+    } catch (const CliError &e) {
+        EXPECT_STREQ(e.what(), "--neg must be an integer >= 1, got \"-1\"");
+    }
+    EXPECT_EQ(parseIntFlag("listen port", "65535", 0, 65535), 65535);
+    EXPECT_THROW(parseIntFlag("listen port", "70000", 0, 65535), CliError);
+
+    EXPECT_EQ(args.getDouble("ms", 0.0), 2.5);
+    EXPECT_EQ(args.getDouble("missing", 1.5), 1.5);
+    for (const char *flag : {"neg", "word", "nan", "inf", "late"}) {
+        SCOPED_TRACE(flag);
+        EXPECT_THROW(args.getDouble(flag, 0.0), CliError);
+    }
 }
 
 TEST(ThreadPool, ParallelForCoversAllIndices)
