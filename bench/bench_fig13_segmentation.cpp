@@ -40,12 +40,8 @@ buildSeg(const SystemSpec &spec, const Laser &laser, bool with_skip,
     for (std::size_t l = 0; l < depth; ++l)
         stack.push_back(std::make_unique<DiffractiveLayer>(hop, 1.0, &rng));
     if (with_skip) {
-        PropagatorConfig sc;
-        sc.grid = spec.grid();
-        sc.wavelength = laser.wavelength;
-        sc.distance = depth * spec.distance;
-        model.addLayer(std::make_unique<OpticalSkipLayer>(
-            std::move(stack), std::make_shared<Propagator>(sc)));
+        model.addLayer(
+            std::make_unique<OpticalSkipLayer>(hop, std::move(stack)));
     } else {
         for (auto &layer : stack)
             model.addLayer(std::move(layer));

@@ -27,11 +27,11 @@ using namespace lightridge;
 
 int
 main(int argc, char **argv)
-{
+try {
     CliArgs args(argc, argv);
-    const std::size_t size = args.getInt("size", 40);
-    const std::size_t depth = args.getInt("depth", 3);
-    const int epochs = args.getInt("epochs", 2);
+    const std::size_t size = args.getInt("size", 40, 1);
+    const std::size_t depth = args.getInt("depth", 3, 1);
+    const int epochs = args.getInt("epochs", 2, 1);
 
     // ---- Step 1: design space exploration -------------------------------
     Laser laser; // 532 nm
@@ -119,4 +119,10 @@ main(int argc, char **argv)
     if (toSystem(codesign, slm, "fab_out"))
         std::printf("wrote fabrication bundle to fab_out/\n");
     return 0;
+} catch (const CliError &e) {
+    std::fprintf(stderr, "mnist_classification: %s\n", e.what());
+    return 1;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "mnist_classification: %s\n", e.what());
+    return 2;
 }

@@ -21,11 +21,11 @@ using namespace lightridge;
 
 int
 main(int argc, char **argv)
-{
+try {
     CliArgs args(argc, argv);
-    const std::size_t size = args.getInt("size", 48);
-    const std::size_t depth = args.getInt("depth", 3);
-    const int epochs = args.getInt("epochs", 2);
+    const std::size_t size = args.getInt("size", 48, 1);
+    const std::size_t depth = args.getInt("depth", 3, 1);
+    const int epochs = args.getInt("epochs", 2, 1);
 
     // Fixed by the chip: CMOS pixel pitch and laser wavelength.
     const Real pixel = 3.45e-6;
@@ -95,4 +95,10 @@ main(int argc, char **argv)
     if (toSystem(model, SlmDevice::idealPhaseOnly(256), "onchip_fab", opts))
         std::printf("wrote nano-printing bundle to onchip_fab/\n");
     return 0;
+} catch (const CliError &e) {
+    std::fprintf(stderr, "onchip_integration: %s\n", e.what());
+    return 1;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "onchip_integration: %s\n", e.what());
+    return 2;
 }

@@ -23,12 +23,12 @@ using namespace lightridge;
 
 int
 main(int argc, char **argv)
-{
+try {
     CliArgs args(argc, argv);
-    const std::size_t size = args.getInt("size", 48);
-    const std::size_t depth = args.getInt("depth", 5);
-    const int epochs = args.getInt("epochs", 3);
-    const std::size_t n_train = args.getInt("train", 600);
+    const std::size_t size = args.getInt("size", 48, 1);
+    const std::size_t depth = args.getInt("depth", 5, 1);
+    const int epochs = args.getInt("epochs", 3, 1);
+    const std::size_t n_train = args.getInt("train", 600, 1);
 
     // 1. Optical system specification (the DSE parameters of Section 4).
     SystemSpec spec;
@@ -55,7 +55,7 @@ main(int argc, char **argv)
     cfg.lr = 0.03;
     cfg.batch = 32;
     cfg.verbose = true;
-    cfg.workers = args.getInt("workers", 0);
+    cfg.workers = args.getInt("workers", 0, 0);
     ClassificationTask task(model, train, &test);
     Session session(task, cfg);
     std::vector<EpochStats> history = session.fit();
@@ -80,4 +80,10 @@ main(int argc, char **argv)
     model.save("quickstart_model.json");
     std::printf("wrote quickstart_model.json\n");
     return 0;
+} catch (const CliError &e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 2;
 }

@@ -21,12 +21,12 @@ using namespace lightridge;
 
 int
 main(int argc, char **argv)
-{
+try {
     CliArgs args(argc, argv);
-    const std::size_t size = args.getInt("size", 40);
-    const std::size_t depth = args.getInt("depth", 3);
-    const int epochs = args.getInt("epochs", 3);
-    const std::size_t n_train = args.getInt("train", 360);
+    const std::size_t size = args.getInt("size", 40, 1);
+    const std::size_t depth = args.getInt("depth", 3, 1);
+    const int epochs = args.getInt("epochs", 3, 1);
+    const std::size_t n_train = args.getInt("train", 360, 1);
 
     SceneConfig scfg;
     scfg.image_size = size;
@@ -54,7 +54,7 @@ main(int argc, char **argv)
     cfg.epochs = epochs;
     cfg.lr = 0.03;
     cfg.verbose = true;
-    cfg.workers = args.getInt("workers", 0);
+    cfg.workers = args.getInt("workers", 0, 0);
     RgbTask rgb_task(rgb, train, &test);
     Session(rgb_task, cfg).fit();
 
@@ -85,4 +85,10 @@ main(int argc, char **argv)
     std::printf("grayscale single-stack baseline top-1: %.3f\n",
                 evaluateAccuracy(gray, gray_test));
     return 0;
+} catch (const CliError &e) {
+    std::fprintf(stderr, "rgb_places: %s\n", e.what());
+    return 1;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "rgb_places: %s\n", e.what());
+    return 2;
 }

@@ -41,12 +41,8 @@ buildSegModel(const SystemSpec &spec, const Laser &laser, bool with_skip,
     for (std::size_t l = 0; l < depth; ++l)
         stack.push_back(std::make_unique<DiffractiveLayer>(hop, 1.0, rng));
     if (with_skip) {
-        PropagatorConfig sc;
-        sc.grid = spec.grid();
-        sc.wavelength = laser.wavelength;
-        sc.distance = depth * spec.distance;
-        model.addLayer(std::make_unique<OpticalSkipLayer>(
-            std::move(stack), std::make_shared<Propagator>(sc)));
+        model.addLayer(
+            std::make_unique<OpticalSkipLayer>(hop, std::move(stack)));
     } else {
         for (auto &layer : stack)
             model.addLayer(std::move(layer));
@@ -70,11 +66,11 @@ dumpMap(const RealMap &map, const std::string &path)
 
 int
 main(int argc, char **argv)
-{
+try {
     CliArgs args(argc, argv);
-    const std::size_t size = args.getInt("size", 48);
-    const int epochs = args.getInt("epochs", 4);
-    const std::size_t n_train = args.getInt("train", 200);
+    const std::size_t size = args.getInt("size", 48, 1);
+    const int epochs = args.getInt("epochs", 4, 1);
+    const std::size_t n_train = args.getInt("train", 200, 1);
 
     CityConfig ccfg;
     ccfg.image_size = size;
@@ -92,7 +88,7 @@ main(int argc, char **argv)
     cfg.lr = 0.08;
     cfg.batch = 8;
     cfg.verbose = true;
-    cfg.workers = args.getInt("workers", 0);
+    cfg.workers = args.getInt("workers", 0, 0);
 
     // Ours: optical skip + LayerNorm.
     Rng rng_a(3);
@@ -125,4 +121,10 @@ main(int argc, char **argv)
     }
     std::printf("wrote seg_*.pgm qualitative results\n");
     return 0;
+} catch (const CliError &e) {
+    std::fprintf(stderr, "segmentation: %s\n", e.what());
+    return 1;
+} catch (const std::exception &e) {
+    std::fprintf(stderr, "segmentation: %s\n", e.what());
+    return 2;
 }

@@ -128,27 +128,6 @@ validateLayerSpecs(const Json &layers)
         LayerFactory::instance().validateSpec(layer);
 }
 
-/**
- * Free-space hops a spec entry contributes to the through-path:
- * diffractive/codesign layers carry one hop each (times "count"),
- * layernorm carries none, and a skip block spans its interior's hops.
- * Unknown custom kinds are assumed to carry one hop per entry.
- */
-std::size_t
-specHops(const Json &layer_spec)
-{
-    const std::string &kind = layer_spec.at("kind").asString();
-    if (kind == "layernorm")
-        return 0;
-    if (kind == "skip") {
-        std::size_t hops = 0;
-        for (const Json &inner : layer_spec.at("inner").asArray())
-            hops += specHops(inner);
-        return hops;
-    }
-    return sizeOr(layer_spec, "count", 1);
-}
-
 } // namespace
 
 // --------------------------------------------------------------------------
@@ -202,21 +181,14 @@ LayerFactory::LayerFactory()
         [](const Json &j, const Context &ctx) {
             if (!j.has("inner"))
                 throw JsonError("skip layer spec requires \"inner\"");
-            // Shortcut path spans the inner block's total optical path:
-            // count free-space hops, not layer entries (layernorm has no
-            // propagator; nested skips span their own interiors).
-            const std::size_t hops = specHops(j);
             std::vector<LayerPtr> inner;
             for (const Json &inner_spec : j.at("inner").asArray())
                 for (LayerPtr &layer :
                      LayerFactory::instance().build(inner_spec, ctx))
                     inner.push_back(std::move(layer));
-            PropagatorConfig sc = ctx.model->hopPropagator()->config();
-            sc.distance *=
-                static_cast<Real>(std::max<std::size_t>(hops, 1));
             std::vector<LayerPtr> layers;
             layers.push_back(std::make_unique<OpticalSkipLayer>(
-                std::move(inner), std::make_shared<Propagator>(sc)));
+                ctx.model->hopPropagator(), std::move(inner)));
             return layers;
         },
         {"kind", "inner"});

@@ -24,8 +24,9 @@
  * an object ({"kind": "sharded", "manifest": ...}) to train out of core
  * from a sharded on-disk dataset written by lightridge_data; manifest
  * validation failures (missing shard, checksum mismatch, future format
- * version) exit 2 naming the offending shard. Exit codes: 0 success,
- * 1 usage error, 2 spec/parse/run error.
+ * version) exit 2 naming the offending shard. An unknown flag or a bad
+ * flag value is a usage error. Exit codes: 0 success, 1 usage error,
+ * 2 spec/parse/run error.
  */
 #include <cstdio>
 #include <cstring>
@@ -159,6 +160,16 @@ main(int argc, char **argv)
         return 1;
     }
     CliArgs args(argc, argv);
+    int workers = -1;
+    try {
+        args.rejectUnknown({"out", "out-dir", "save-model", "dump-spec",
+                            "workers", "quiet", "robustness-sweep"});
+        if (args.has("workers"))
+            workers = args.getInt("workers", 0, 0);
+    } catch (const CliError &e) {
+        std::fprintf(stderr, "lightridge_run: %s\n", e.what());
+        return 1;
+    }
 
     std::vector<ExperimentSpec> specs;
     for (const std::string &path : spec_paths) {
@@ -171,17 +182,9 @@ main(int argc, char **argv)
         }
     }
 
-    if (args.has("workers")) {
-        int workers = 0;
-        try {
-            workers = args.getInt("workers", 0, 0);
-        } catch (const CliError &e) {
-            std::fprintf(stderr, "lightridge_run: %s\n", e.what());
-            return 1;
-        }
+    if (workers >= 0)
         for (ExperimentSpec &spec : specs)
             spec.train.workers = static_cast<std::size_t>(workers);
-    }
     const bool quiet = args.getBool("quiet", false);
     const bool sweep = args.getBool("robustness-sweep", false);
 

@@ -10,42 +10,23 @@ namespace lightridge {
 
 CodesignLayer::CodesignLayer(std::shared_ptr<const Propagator> propagator,
                              DeviceLut lut, Real tau, Real gamma, Rng *rng)
-    : propagator_(std::move(propagator)), lut_(std::move(lut)), tau_(tau),
-      gamma_(gamma), rng_(rng)
+    : ModulationLayer(std::move(propagator), gamma), lut_(std::move(lut)),
+      tau_(tau), rng_(rng)
 {
     if (lut_.size() == 0)
         throw std::invalid_argument("CodesignLayer: empty device LUT");
     if (tau_ <= 0)
         throw std::invalid_argument("CodesignLayer: tau must be positive");
-    const std::size_t n = propagator_->config().grid.n;
+    const std::size_t n = sideLength();
     logits_.assign(n * n * lut_.size(), 0.0);
     logits_grad_.assign(logits_.size(), 0.0);
 }
 
-// The published table is immutable, so sharing the pointer is safe; the
-// mutex is per-instance and starts fresh. The rng_ pointer is copied
-// as-is; parallel trainers rewire replicas via setRng(). Initializing
-// in the member list (via publishedModulation(), which locks the source
-// instance) keeps the constructor free of guarded-member writes.
 CodesignLayer::CodesignLayer(const CodesignLayer &other)
-    : propagator_(other.propagator_), lut_(other.lut_), tau_(other.tau_),
-      gamma_(other.gamma_), rng_(other.rng_), logits_(other.logits_),
-      logits_grad_(other.logits_grad_),
-      infer_modulation_(other.publishedModulation())
+    : ModulationLayer(other), lut_(other.lut_), tau_(other.tau_),
+      rng_(other.rng_), logits_(other.logits_),
+      logits_grad_(other.logits_grad_)
 {}
-
-std::shared_ptr<const CodesignLayer::InferModulation>
-CodesignLayer::publishedModulation() const
-{
-    MutexLock lock(infer_cache_mutex_);
-    return infer_modulation_;
-}
-
-std::size_t
-CodesignLayer::sideLength() const
-{
-    return propagator_->config().grid.n;
-}
 
 void
 CodesignLayer::unitSoftmax(std::size_t i, bool with_noise, Real *out)
@@ -69,16 +50,14 @@ CodesignLayer::unitSoftmax(std::size_t i, bool with_noise, Real *out)
         out[j] /= total;
 }
 
-void
-CodesignLayer::forwardInPlace(Field &u, PropagationWorkspace &workspace)
+const Field &
+CodesignLayer::trainingModulation(bool sample, TablePtr &)
 {
+    if (!sample)
+        return cached_modulation_;
     const std::size_t n = sideLength();
     const std::size_t k = lut_.size();
-    const LayerPerturbation *pert = perturb_;
-    propagator_->forwardInto(u, cached_diffracted_, workspace,
-                             pert ? &pert->hop : nullptr);
     ensureFieldShape(cached_modulation_, n, n);
-
     cached_probs_.resize(n * n * k);
     for (std::size_t i = 0; i < n * n; ++i) {
         Real *p = cached_probs_.data() + i * k;
@@ -88,53 +67,18 @@ CodesignLayer::forwardInPlace(Field &u, PropagationWorkspace &workspace)
             m += p[j] * lut_.levels[j];
         cached_modulation_[i] = m;
     }
-
-    ensureFieldShape(u, n, n);
-    if (pert && pert->has_noise) {
-        for (std::size_t i = 0; i < u.size(); ++i)
-            u[i] = gamma_ * cached_diffracted_[i] * cached_modulation_[i] *
-                   pert->noise[i];
-        return;
-    }
-    for (std::size_t i = 0; i < u.size(); ++i)
-        u[i] = gamma_ * cached_diffracted_[i] * cached_modulation_[i];
-}
-
-std::shared_ptr<const CodesignLayer::InferModulation>
-CodesignLayer::inferModulation() const
-{
-    MutexLock lock(infer_cache_mutex_);
-    if (infer_modulation_ && infer_modulation_->logits == logits_)
-        return infer_modulation_;
-    const std::size_t n = sideLength();
-    const std::size_t k = lut_.size();
-    auto fresh = std::make_shared<InferModulation>();
-    fresh->table = Field(n, n);
-    // Deployment: exact argmax device state per unit.
-    for (std::size_t i = 0; i < n * n; ++i) {
-        const Real *l = logits_.data() + i * k;
-        std::size_t best = std::max_element(l, l + k) - l;
-        fresh->table[i] = lut_.levels[best];
-    }
-    fresh->logits = logits_;
-    infer_modulation_ = fresh;
-    return fresh;
+    return cached_modulation_;
 }
 
 void
-CodesignLayer::inferInPlace(Field &u, PropagationWorkspace &workspace) const
+CodesignLayer::buildTable(Field &table) const
 {
-    std::shared_ptr<const InferModulation> mod = inferModulation();
-    const LayerPerturbation *pert = perturb_;
-    propagator_->forwardInto(u, u, workspace, pert ? &pert->hop : nullptr);
-    const Field &table = mod->table;
-    if (pert && pert->has_noise) {
-        for (std::size_t i = 0; i < u.size(); ++i)
-            u[i] = gamma_ * u[i] * table[i] * pert->noise[i];
-        return;
+    const std::size_t k = lut_.size();
+    for (std::size_t i = 0; i < table.size(); ++i) {
+        const Real *l = logits_.data() + i * k;
+        std::size_t best = std::max_element(l, l + k) - l;
+        table[i] = lut_.levels[best];
     }
-    for (std::size_t i = 0; i < u.size(); ++i)
-        u[i] = gamma_ * u[i] * table[i];
 }
 
 LayerPtr
@@ -146,19 +90,17 @@ CodesignLayer::clone() const
 }
 
 void
-CodesignLayer::backwardInPlace(Field &g, PropagationWorkspace &workspace)
+CodesignLayer::accumulateGrad(const Field &g, const Field &)
 {
     const std::size_t n = sideLength();
     const std::size_t k = lut_.size();
-    if (cached_probs_.size() != n * n * k)
-        throw std::logic_error("CodesignLayer::backward before forward");
-
-    const LayerPerturbation *pert = perturb_;
+    const Field &diffracted = this->diffracted();
+    const LayerPerturbation *pert = perturbation();
     const bool noisy = pert && pert->has_noise;
     std::vector<Real> dldp(k);
     for (std::size_t i = 0; i < n * n; ++i) {
         // dL/dp_j = Re(conj(G_out) * gamma * U_diff * e^{j eps} * m_j)
-        Complex base = gamma_ * cached_diffracted_[i];
+        Complex base = gamma() * diffracted[i];
         if (noisy)
             base *= pert->noise[i];
         Complex gc = std::conj(g[i]);
@@ -173,16 +115,6 @@ CodesignLayer::backwardInPlace(Field &g, PropagationWorkspace &workspace)
         for (std::size_t j = 0; j < k; ++j)
             lg[j] += p[j] * (dldp[j] - inner) / tau_;
     }
-
-    if (noisy) {
-        for (std::size_t i = 0; i < g.size(); ++i)
-            g[i] = g[i] * std::conj(gamma_ * cached_modulation_[i]) *
-                   pert->noise_conj[i];
-    } else {
-        for (std::size_t i = 0; i < g.size(); ++i)
-            g[i] = g[i] * std::conj(gamma_ * cached_modulation_[i]);
-    }
-    propagator_->adjointInto(g, g, workspace, pert ? &pert->hop : nullptr);
 }
 
 std::vector<ParamView>
@@ -224,7 +156,7 @@ CodesignLayer::toJson() const
 {
     Json j;
     j["kind"] = Json(kind());
-    j["gamma"] = Json(gamma_);
+    j["gamma"] = Json(gamma());
     j["tau"] = Json(tau_);
     Json lut;
     for (const Complex &m : lut_.levels) {

@@ -10,6 +10,10 @@
  * approximations"); deployment takes the argmax state, which is exactly
  * realizable on hardware - eliminating the post-training calibration gap
  * the paper's Figure 1 quantifies.
+ *
+ * The hop, the multiply and the published table live in ModulationLayer;
+ * this kind supplies the deployed table lut[argmax], the soft training
+ * modulation and the logit gradient.
  */
 #pragma once
 
@@ -17,14 +21,12 @@
 #include <vector>
 
 #include "core/device_lut.hpp"
-#include "core/layer.hpp"
-#include "optics/propagator.hpp"
-#include "utils/sync.hpp"
+#include "core/modulation_layer.hpp"
 
 namespace lightridge {
 
 /** Gumbel-softmax quantization-aware diffractive layer. */
-class CodesignLayer : public Layer
+class CodesignLayer : public ModulationLayer
 {
   public:
     /**
@@ -41,20 +43,13 @@ class CodesignLayer : public Layer
     /**
      * Copy carries the logits, their gradients and the (immutable)
      * published argmax-LUT table; the training caches start empty and
-     * fill on the next forward.
+     * fill on the next forward. The rng pointer is copied as-is; parallel
+     * trainers rewire replicas via setRng().
      */
     CodesignLayer(const CodesignLayer &other);
 
     std::string kind() const override { return "codesign"; }
 
-    void forwardInPlace(Field &u, PropagationWorkspace &workspace) override;
-    void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
-    void inferInPlace(Field &u,
-                      PropagationWorkspace &workspace) const override;
-    void setPerturbation(const LayerPerturbation *perturbation) override
-    {
-        perturb_ = perturbation;
-    }
     LayerPtr clone() const override;
     std::vector<ParamView> params() override;
     Json toJson() const override;
@@ -70,12 +65,7 @@ class CodesignLayer : public Layer
     /** Whether Gumbel sampling is enabled (a noise source is attached). */
     bool hasRng() const { return rng_ != nullptr; }
 
-    Real gamma() const { return gamma_; }
-    void setGamma(Real gamma) { gamma_ = gamma; }
-
     const DeviceLut &lut() const { return lut_; }
-
-    const Propagator &propagator() const { return *propagator_; }
 
     /** Per-unit argmax device-level indices (the deployable weights). */
     std::vector<std::size_t> levelIndices() const;
@@ -86,60 +76,39 @@ class CodesignLayer : public Layer
      */
     void initFromPhase(const RealMap &phase, Real confidence = 4.0);
 
-    /** Number of diffraction units per side. */
-    std::size_t sideLength() const;
-
     static std::unique_ptr<CodesignLayer>
     fromJson(const Json &j, std::shared_ptr<const Propagator> propagator);
+
+  protected:
+    const std::vector<Real> &tableParams() const override { return logits_; }
+
+    /** Deployment: exactly lut.levels[argmax] per unit. */
+    void buildTable(Field &table) const override;
+
+    /**
+     * Training relaxes the argmax to the soft modulation
+     * M_i = sum_j p_ij * lut_j, with p the Gumbel-softmax of the logits
+     * (drawn on forward, reused on backward).
+     */
+    const Field &trainingModulation(bool sample, TablePtr &hold) override;
+
+    /** Softmax-Jacobian gradient of the logits. */
+    void accumulateGrad(const Field &g, const Field &m) override;
 
   private:
     /** Softmax over the K logits of unit i into out. */
     void unitSoftmax(std::size_t i, bool with_noise, Real *out);
 
-    /** Immutable published argmax modulation + the logits it encodes. */
-    struct InferModulation
-    {
-        Field table;               ///< lut.levels[argmax] per unit
-        std::vector<Real> logits;  ///< snapshot the table was built from
-    };
-
-    /**
-     * Thread-safe shared-instance argmax-LUT cache for the inference
-     * path (the codesign counterpart of DiffractiveLayer's modulation
-     * cache): the per-unit argmax device state is resolved once per
-     * weight update instead of once per request per worker. Values are
-     * exactly lut.levels[argmax], so inference stays bitwise-identical.
-     */
-    std::shared_ptr<const InferModulation> inferModulation() const
-        LIGHTRIDGE_EXCLUDES(infer_cache_mutex_);
-
-    /** Currently published table (no rebuild); for the copy constructor,
-     *  which shares the immutable snapshot across instances. */
-    std::shared_ptr<const InferModulation> publishedModulation() const
-        LIGHTRIDGE_EXCLUDES(infer_cache_mutex_);
-
-    std::shared_ptr<const Propagator> propagator_;
     DeviceLut lut_;
     Real tau_;
-    Real gamma_;
     Rng *rng_;
 
     std::vector<Real> logits_;      // n*n*K
     std::vector<Real> logits_grad_; // n*n*K
 
-    // Shared-instance inference cache (see inferModulation()).
-    mutable Mutex infer_cache_mutex_;
-    mutable std::shared_ptr<const InferModulation> infer_modulation_
-        LIGHTRIDGE_GUARDED_BY(infer_cache_mutex_);
-
     // Training caches.
     std::vector<Real> cached_probs_; // n*n*K soft assignments
-    Field cached_diffracted_;
-    Field cached_modulation_; // per-unit soft modulation M_i
-
-    // Attached misalignment realization (externally owned; see
-    // Layer::setPerturbation). Clones start detached.
-    const LayerPerturbation *perturb_ = nullptr;
+    Field cached_modulation_;        // per-unit soft modulation M_i
 };
 
 } // namespace lightridge

@@ -121,6 +121,36 @@ regionsFromJson(const Json &j, std::size_t n, const std::string &field)
     return regions;
 }
 
+/**
+ * Read one checkpoint layer of any kind; a skip block reads its interior
+ * through the same function, so every kind a model saves loads at any
+ * depth.
+ */
+LayerPtr
+layerFromJson(const Json &j, const std::shared_ptr<const Propagator> &hop)
+{
+    const std::string &kind = j.at("kind").asString();
+    if (kind == "diffractive")
+        return DiffractiveLayer::fromJson(j, hop);
+    if (kind == "codesign")
+        return CodesignLayer::fromJson(j, hop);
+    if (kind == "fixed")
+        return FixedModulationLayer::fromJson(j, hop);
+    if (kind == "layernorm")
+        return std::make_unique<LayerNormLayer>(
+            j.numberOr("eps", 1e-12),
+            j.has("subtract_mean") && j.at("subtract_mean").asBool());
+    if (kind == "skip") {
+        std::vector<LayerPtr> inner;
+        for (const Json &entry : j.at("inner").asArray())
+            inner.push_back(layerFromJson(entry, hop));
+        return std::make_unique<OpticalSkipLayer>(
+            hop, std::move(inner), j.numberOr("alpha", 1.0),
+            j.numberOr("beta", 0.0));
+    }
+    throw JsonError("unknown layer kind: " + kind);
+}
+
 } // namespace
 
 DonnModel::DonnModel(SystemSpec spec, Laser laser)
@@ -349,32 +379,8 @@ DonnModel::fromJson(const Json &j)
     laser.power_watts = lj.numberOr("power_watts", 5e-3);
 
     DonnModel model(spec, laser);
-    for (const Json &layer_json : j.at("layers").asArray()) {
-        const std::string &kind = layer_json.at("kind").asString();
-        if (kind == "diffractive") {
-            model.addLayer(DiffractiveLayer::fromJson(layer_json,
-                                                      model.propagator_));
-        } else if (kind == "codesign") {
-            model.addLayer(CodesignLayer::fromJson(layer_json,
-                                                   model.propagator_));
-        } else if (kind == "layernorm") {
-            model.addLayer(std::make_unique<LayerNormLayer>(
-                layer_json.numberOr("eps", 1e-12),
-                layer_json.has("subtract_mean") &&
-                    layer_json.at("subtract_mean").asBool()));
-        } else if (kind == "skip") {
-            // Shortcut path spans the inner block's total optical path.
-            std::size_t inner_depth =
-                layer_json.at("inner").asArray().size();
-            PropagatorConfig sc = model.propagator_->config();
-            sc.distance *= static_cast<Real>(inner_depth);
-            model.addLayer(OpticalSkipLayer::fromJson(
-                layer_json, model.propagator_,
-                std::make_shared<Propagator>(sc)));
-        } else {
-            throw JsonError("unknown layer kind: " + kind);
-        }
-    }
+    for (const Json &layer_json : j.at("layers").asArray())
+        model.addLayer(layerFromJson(layer_json, model.propagator_));
 
     if (j.has("detector")) {
         const Json &det = j.at("detector");

@@ -189,9 +189,10 @@ class DonnModel
 
     /**
      * Deep copy sharing the (immutable) propagators: layers and detector
-     * are cloned. A clone carries parameters, gradients and calibration,
-     * not the layers' per-sample scratch (activation caches, training
-     * modulation tables), which refills on its first training pass.
+     * are cloned. A clone carries parameters, gradients, calibration and
+     * the published modulation tables (shared), not the layers'
+     * per-sample scratch (activation caches, codesign's soft
+     * modulation), which refills on its first training pass.
      * Replicas train independently; see Session for the data-parallel
      * batch recipe.
      */

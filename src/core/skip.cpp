@@ -3,19 +3,44 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "core/codesign_layer.hpp"
-#include "core/diffractive_layer.hpp"
+#include "core/modulation_layer.hpp"
 
 namespace lightridge {
 
-OpticalSkipLayer::OpticalSkipLayer(std::vector<LayerPtr> inner,
-                                   std::shared_ptr<const Propagator> shortcut,
-                                   Real alpha, Real beta)
-    : inner_(std::move(inner)), shortcut_(std::move(shortcut)),
-      alpha_(alpha), beta_(beta)
+OpticalSkipLayer::OpticalSkipLayer(std::shared_ptr<const Propagator> hop,
+                                   std::vector<LayerPtr> inner, Real alpha,
+                                   Real beta)
+    : inner_(std::move(inner)), alpha_(alpha), beta_(beta)
 {
     if (inner_.empty())
         throw std::invalid_argument("OpticalSkipLayer: empty block");
+    PropagatorConfig config = hop->config();
+    config.distance *=
+        static_cast<Real>(std::max<std::size_t>(interiorHops(), 1));
+    shortcut_ = std::make_shared<Propagator>(config);
+}
+
+OpticalSkipLayer::OpticalSkipLayer(const OpticalSkipLayer &other)
+    : Layer(other), shortcut_(other.shortcut_), alpha_(other.alpha_),
+      beta_(other.beta_)
+{
+    inner_.reserve(other.inner_.size());
+    for (const LayerPtr &layer : other.inner_)
+        inner_.push_back(layer->clone());
+}
+
+std::size_t
+OpticalSkipLayer::interiorHops() const
+{
+    std::size_t hops = 0;
+    for (const LayerPtr &layer : inner_) {
+        if (dynamic_cast<const ModulationLayer *>(layer.get()) != nullptr)
+            hops += 1;
+        else if (auto *skip =
+                     dynamic_cast<const OpticalSkipLayer *>(layer.get()))
+            hops += skip->interiorHops();
+    }
+    return hops;
 }
 
 void
@@ -51,12 +76,7 @@ OpticalSkipLayer::inferInPlace(Field &u,
 LayerPtr
 OpticalSkipLayer::clone() const
 {
-    std::vector<LayerPtr> inner;
-    inner.reserve(inner_.size());
-    for (const LayerPtr &layer : inner_)
-        inner.push_back(layer->clone());
-    return std::make_unique<OpticalSkipLayer>(std::move(inner), shortcut_,
-                                              alpha_, beta_);
+    return std::make_unique<OpticalSkipLayer>(*this);
 }
 
 void
@@ -100,26 +120,6 @@ OpticalSkipLayer::toJson() const
         inner.push(layer->toJson());
     j["inner"] = std::move(inner);
     return j;
-}
-
-std::unique_ptr<OpticalSkipLayer>
-OpticalSkipLayer::fromJson(const Json &j,
-                           std::shared_ptr<const Propagator> hop,
-                           std::shared_ptr<const Propagator> shortcut)
-{
-    std::vector<LayerPtr> inner;
-    for (const Json &layer_json : j.at("inner").asArray()) {
-        const std::string &kind = layer_json.at("kind").asString();
-        if (kind == "diffractive")
-            inner.push_back(DiffractiveLayer::fromJson(layer_json, hop));
-        else if (kind == "codesign")
-            inner.push_back(CodesignLayer::fromJson(layer_json, hop));
-        else
-            throw JsonError("skip: unsupported inner layer " + kind);
-    }
-    return std::make_unique<OpticalSkipLayer>(
-        std::move(inner), std::move(shortcut), j.numberOr("alpha", 1.0),
-        j.numberOr("beta", 0.0));
 }
 
 } // namespace lightridge

@@ -24,16 +24,20 @@ class OpticalSkipLayer : public Layer
 {
   public:
     /**
-     * @param inner the diffractive block the shortcut bypasses
-     * @param shortcut free-space propagator over the bypass path (its
-     *        distance should equal the block's total optical path)
+     * @param hop the model's inter-plane hop; the shortcut P is this hop
+     *        stretched over the block's optical path, hop distance times
+     *        max(1, interiorHops())
+     * @param inner the block the shortcut bypasses
      * @param alpha amplitude fraction through the block
      * @param beta amplitude fraction through the shortcut
      */
-    OpticalSkipLayer(std::vector<LayerPtr> inner,
-                     std::shared_ptr<const Propagator> shortcut,
+    OpticalSkipLayer(std::shared_ptr<const Propagator> hop,
+                     std::vector<LayerPtr> inner,
                      Real alpha = 0.707106781186548,  // 50:50 splitter
                      Real beta = 0.707106781186548);
+
+    /** Deep copy of the block; the (immutable) shortcut is shared. */
+    OpticalSkipLayer(const OpticalSkipLayer &other);
 
     std::string kind() const override { return "skip"; }
 
@@ -48,11 +52,13 @@ class OpticalSkipLayer : public Layer
     std::size_t innerDepth() const { return inner_.size(); }
     Layer *innerLayer(std::size_t i) { return inner_[i].get(); }
 
-    static std::unique_ptr<OpticalSkipLayer>
-    fromJson(const Json &j, std::shared_ptr<const Propagator> hop,
-             std::shared_ptr<const Propagator> shortcut);
-
   private:
+    /**
+     * Free-space hops through the block: a modulation layer counts one,
+     * a nested skip its own interior, any other layer (layernorm) none.
+     */
+    std::size_t interiorHops() const;
+
     std::vector<LayerPtr> inner_;
     std::shared_ptr<const Propagator> shortcut_;
     Real alpha_;

@@ -29,10 +29,8 @@ void
 applyModelGamma(DonnModel &model, Real gamma)
 {
     forEachModelLayer(model, [gamma](Layer *layer) {
-        if (auto *d = dynamic_cast<DiffractiveLayer *>(layer))
-            d->setGamma(gamma);
-        else if (auto *c = dynamic_cast<CodesignLayer *>(layer))
-            c->setGamma(gamma);
+        if (auto *m = dynamic_cast<ModulationLayer *>(layer))
+            m->setGamma(gamma);
     });
 }
 
@@ -59,13 +57,9 @@ std::vector<const Propagator *>
 modelLayerHops(const DonnModel &model)
 {
     std::vector<const Propagator *> hops(model.depth(), nullptr);
-    for (std::size_t i = 0; i < model.depth(); ++i) {
-        const Layer *layer = model.layer(i);
-        if (auto *d = dynamic_cast<const DiffractiveLayer *>(layer))
-            hops[i] = &d->propagator();
-        else if (auto *c = dynamic_cast<const CodesignLayer *>(layer))
-            hops[i] = &c->propagator();
-    }
+    for (std::size_t i = 0; i < model.depth(); ++i)
+        if (auto *m = dynamic_cast<const ModulationLayer *>(model.layer(i)))
+            hops[i] = &m->propagator();
     return hops;
 }
 

@@ -237,7 +237,7 @@ class Task
 void forEachModelLayer(DonnModel &model,
                        const std::function<void(Layer *)> &fn);
 
-/** Apply gamma to every diffractive/codesign layer of a model. */
+/** Apply gamma to every modulation layer of a model. */
 void applyModelGamma(DonnModel &model, Real gamma);
 
 /** Set Gumbel-softmax temperature on every codesign layer of a model. */

@@ -14,9 +14,9 @@
  * shards plus a manifest.json, ready for a `"dataset": {"kind":
  * "sharded", ...}` spec block. `inspect` prints the manifest summary
  * after a header-only pass over every shard; `validate` additionally
- * re-reads every payload and checks the checksums. Exit codes: 0
- * success, 1 usage error, 2 data error (the message names the
- * offending shard).
+ * re-reads every payload and checks the checksums. An unknown flag or a
+ * bad flag value is a usage error. Exit codes: 0 success, 1 usage
+ * error, 2 data error (the message names the offending shard).
  */
 #include <cstdio>
 #include <string>
@@ -72,6 +72,8 @@ printManifest(const std::string &path, const DatasetManifest &manifest)
 int
 packCommand(const CliArgs &args)
 {
+    args.rejectUnknown({"dataset", "out", "samples", "seed", "image-size",
+                        "shards", "shard-samples"});
     const std::string dataset = args.getString("dataset", "");
     const std::string out = args.getString("out", "");
     if (out.empty() || dataset.empty()) {
@@ -159,6 +161,7 @@ main(int argc, char **argv)
         if (command == "pack")
             return packCommand(args);
         if (command == "inspect" || command == "validate") {
+            args.rejectUnknown({});
             // The manifest path is the first positional after the command.
             std::string path;
             for (int i = 2; i < argc; ++i) {

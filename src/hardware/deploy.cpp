@@ -6,45 +6,6 @@
 
 namespace lightridge {
 
-FixedModulationLayer::FixedModulationLayer(
-    std::shared_ptr<const Propagator> propagator, Field modulation)
-    : propagator_(std::move(propagator)), modulation_(std::move(modulation))
-{
-    const std::size_t n = propagator_->config().grid.n;
-    if (modulation_.rows() != n || modulation_.cols() != n)
-        throw std::invalid_argument("FixedModulationLayer: shape mismatch");
-}
-
-void
-FixedModulationLayer::inferInPlace(Field &u,
-                                   PropagationWorkspace &workspace) const
-{
-    propagator_->forwardInto(u, u, workspace);
-    u.hadamard(modulation_);
-}
-
-void
-FixedModulationLayer::backwardInPlace(Field &g,
-                                      PropagationWorkspace &workspace)
-{
-    g.hadamardConj(modulation_);
-    propagator_->adjointInto(g, g, workspace);
-}
-
-Json
-FixedModulationLayer::toJson() const
-{
-    Json j;
-    j["kind"] = Json(kind());
-    Json mod;
-    for (std::size_t i = 0; i < modulation_.size(); ++i) {
-        mod.push(Json(modulation_[i].real()));
-        mod.push(Json(modulation_[i].imag()));
-    }
-    j["modulation"] = std::move(mod);
-    return j;
-}
-
 namespace {
 
 /** Per-pixel fabrication perturbation of one modulation state. */

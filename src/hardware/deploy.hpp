@@ -9,7 +9,8 @@
  * does the same for a codesign-trained model, whose argmax states are
  * realizable exactly - only fabrication variation remains. Comparing the
  * two reproduces the out-of-box deployment-accuracy story of the paper's
- * Figure 1 (>= 30% degradation without codesign, ~3% with).
+ * Figure 1 (>= 30% degradation without codesign, ~3% with). A deployed
+ * model is a stack of FixedModulationLayer (core/modulation_layer.hpp).
  */
 #pragma once
 
@@ -21,39 +22,6 @@
 #include "hardware/slm.hpp"
 
 namespace lightridge {
-
-/**
- * Frozen complex modulation layer used by deployed (hardware) models:
- * free-space hop followed by a fixed per-unit complex multiplication.
- * Not trainable: forwardInPlace() is inferInPlace(), and backwardInPlace()
- * is the pure adjoint.
- */
-class FixedModulationLayer : public Layer
-{
-  public:
-    FixedModulationLayer(std::shared_ptr<const Propagator> propagator,
-                         Field modulation);
-
-    std::string kind() const override { return "fixed"; }
-    void forwardInPlace(Field &u, PropagationWorkspace &workspace) override
-    {
-        inferInPlace(u, workspace);
-    }
-    void backwardInPlace(Field &g, PropagationWorkspace &workspace) override;
-    void inferInPlace(Field &u,
-                      PropagationWorkspace &workspace) const override;
-    LayerPtr clone() const override
-    {
-        return std::make_unique<FixedModulationLayer>(*this);
-    }
-    Json toJson() const override;
-
-    const Field &modulation() const { return modulation_; }
-
-  private:
-    std::shared_ptr<const Propagator> propagator_;
-    Field modulation_;
-};
 
 /** How trained phases are mapped to device control levels. */
 enum class CalibrationMode

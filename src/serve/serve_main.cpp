@@ -46,9 +46,9 @@
  * Responses are JSON lines in request order; a final stats JSON records
  * throughput and micro-batch shape. Integer flags must be whole integers
  * in range (--max-batch and --max-queue >= 1, the --listen port in
- * [0, 65535]); a bad flag value exits 1 naming the flag. Exit codes:
- * 0 success, 1 usage, 2 manifest/spec error, 3 one or more requests
- * failed (stdin mode).
+ * [0, 65535]); an unknown flag or a bad flag value exits 1 naming the
+ * flag. Exit codes: 0 success, 1 usage, 2 manifest/spec error, 3 one or
+ * more requests failed (stdin mode).
  */
 #include <csignal>
 #include <cstdio>
@@ -288,6 +288,10 @@ serve(int argc, char **argv)
     }
     const std::string manifest_path = argv[1];
     CliArgs args(argc, argv);
+    args.rejectUnknown({"requests", "out", "stats", "max-batch", "max-queue",
+                        "quota", "default-deadline-ms", "no-logits", "quiet",
+                        "listen", "io-threads", "max-connections",
+                        "port-file"});
     const bool quiet = args.getBool("quiet", false);
     const bool with_logits = !args.getBool("no-logits", false);
     const std::string listen = args.getString("listen", "");

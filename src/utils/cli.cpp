@@ -42,6 +42,18 @@ CliArgs::CliArgs(int argc, char **argv)
     }
 }
 
+void
+CliArgs::rejectUnknown(std::initializer_list<const char *> known) const
+{
+    for (const auto &flag : flags_) {
+        bool listed = false;
+        for (const char *name : known)
+            listed = listed || flag.first == name;
+        if (!listed)
+            throw CliError("unknown flag --" + flag.first);
+    }
+}
+
 bool
 CliArgs::has(const std::string &name) const
 {

@@ -8,6 +8,7 @@
  */
 #pragma once
 
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <stdexcept>
@@ -35,8 +36,14 @@ class CliArgs
   public:
     CliArgs() = default;
 
-    /** Parse argv. Unknown flags are stored; no schema required. */
+    /** Parse argv. Every flag is stored; rejectUnknown() checks them. */
     CliArgs(int argc, char **argv);
+
+    /**
+     * Throw CliError naming the first flag not listed in `known`, so a
+     * mistyped flag (--wrokers=2) fails instead of being ignored.
+     */
+    void rejectUnknown(std::initializer_list<const char *> known) const;
 
     /** True when --name was passed (with or without a value). */
     bool has(const std::string &name) const;

@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <stdexcept>
 #include <string>
@@ -18,6 +19,7 @@
 #include "data/synth_city.hpp"
 #include "data/synth_digits.hpp"
 #include "data/synth_scenes.hpp"
+#include "hardware/deploy.hpp"
 
 namespace lightridge {
 namespace {
@@ -273,6 +275,62 @@ TEST(LayerFactory, SkipSpecNestsInnerLayers)
     EXPECT_EQ(model.depth(), 2u); // skip block + layernorm
     EXPECT_EQ(model.layer(0)->kind(), "skip");
     EXPECT_EQ(model.layer(1)->kind(), "layernorm");
+}
+
+TEST(LayerFactory, CheckpointsLoadEveryLayerKindTheySave)
+{
+    // A checkpoint loads every layer kind a model saves, at any depth: a
+    // layernorm or a nested skip inside a skip interior, and a deployed
+    // model's fixed layers. Loading rebuilds each skip shortcut from the
+    // interior, so inference is bitwise unchanged.
+    auto diffractive = [](std::size_t count) {
+        Json j;
+        j["kind"] = Json("diffractive");
+        j["count"] = Json(count);
+        return j;
+    };
+    auto skipOf = [](std::vector<Json> entries) {
+        Json inner;
+        for (Json &entry : entries)
+            inner.push(std::move(entry));
+        Json j;
+        j["kind"] = Json("skip");
+        j["inner"] = std::move(inner);
+        return j;
+    };
+    Json norm;
+    norm["kind"] = Json("layernorm");
+    Json norm_inside;
+    norm_inside.push(skipOf({diffractive(2), norm}));
+    Json nested;
+    nested.push(skipOf({diffractive(1), skipOf({diffractive(2)})}));
+
+    const std::string path = "api_layer_kinds_test.json";
+    auto roundTrip = [&](const DonnModel &model) {
+        ASSERT_TRUE(model.save(path));
+        DonnModel loaded = DonnModel::load(path);
+        std::remove(path.c_str());
+        RealMap image(16, 16, 0.1);
+        image(5, 9) = 1.0;
+        Field a = model.inferField(model.encode(image));
+        Field b = loaded.inferField(loaded.encode(image));
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)),
+                  0);
+    };
+    for (const Json &layers : {norm_inside, nested}) {
+        SCOPED_TRACE(layers.dump());
+        ExperimentSpec spec = tinySpec();
+        spec.layers = layers;
+        Rng rng(3);
+        roundTrip(buildSpecModel(spec, 10, &rng));
+    }
+
+    Rng rng(4);
+    DonnModel raw = buildSpecModel(tinySpec(), 10, &rng);
+    Rng fab(5);
+    roundTrip(deployRaw(raw, SlmDevice::idealPhaseOnly(16),
+                        FabricationVariation{0.05, 0.02}, &fab));
 }
 
 TEST(RunExperiment, ClassificationEndToEnd)

@@ -319,12 +319,8 @@ TEST(Gradients, OpticalSkipLayer)
                                                        1.0, &rng));
     inner.push_back(std::make_unique<DiffractiveLayer>(model.hopPropagator(),
                                                        1.0, &rng));
-    PropagatorConfig sc;
-    sc.grid = spec.grid();
-    sc.wavelength = laser.wavelength;
-    sc.distance = 2 * spec.distance;
-    model.addLayer(std::make_unique<OpticalSkipLayer>(
-        std::move(inner), std::make_shared<Propagator>(sc)));
+    model.addLayer(std::make_unique<OpticalSkipLayer>(model.hopPropagator(),
+                                                      std::move(inner)));
     model.setDetector(
         DetectorPlane(DetectorPlane::gridLayout(12, 4, 2), 25.0));
 

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 
 #include "core/session.hpp"
@@ -13,6 +14,7 @@
 #include "hardware/deploy.hpp"
 #include "hardware/energy.hpp"
 #include "hardware/to_system.hpp"
+#include "optics/perturbation.hpp"
 #include "support/hop.hpp"
 
 namespace lightridge {
@@ -345,6 +347,101 @@ TEST(FixedModulation, InPlacePathsMatchReferenceBitwise)
     layer.backwardInPlace(grad_in_place, workspace);
     for (std::size_t i = 0; i < grad_reference.size(); ++i)
         EXPECT_EQ(grad_in_place[i], grad_reference[i]);
+}
+
+bool
+sameBits(const Field &a, const Field &b)
+{
+    return a.size() == b.size() &&
+           std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)) == 0;
+}
+
+TEST(ModulationLayer, KindsShareOneHopThenModulatePath)
+{
+    // The three layer kinds differ only in how M is parametrized, so a
+    // frozen layer holding a trained layer's table must reproduce it bit
+    // for bit in every pass, with or without an attached misalignment
+    // realization (a deployed model stands for the same physical system).
+    PropagatorConfig cfg;
+    cfg.grid = Grid{16, 36e-6};
+    cfg.wavelength = 532e-9;
+    cfg.distance = 0.01;
+    auto prop = std::make_shared<Propagator>(cfg);
+    PropagationWorkspace &workspace = PropagationWorkspace::threadLocal();
+    Rng rng(29);
+
+    DiffractiveLayer diffractive(prop, 1.0, &rng);
+    Field exp_phase(16, 16);
+    for (std::size_t i = 0; i < exp_phase.size(); ++i)
+        exp_phase[i] = std::polar(Real(1), diffractive.phase()[i]);
+    FixedModulationLayer fixed(prop, exp_phase);
+
+    LayerPerturbation shifted;
+    fillHopPerturbation(*prop, 2 * cfg.grid.pitch, -cfg.grid.pitch, 0.0,
+                        shifted.hop);
+    shifted.has_noise = true;
+    shifted.noise = Field(16, 16);
+    shifted.noise_conj = Field(16, 16);
+    for (std::size_t i = 0; i < shifted.noise.size(); ++i) {
+        const Real eps = rng.normal(0.0, 0.2);
+        shifted.noise[i] = std::polar<Real>(1.0, eps);
+        shifted.noise_conj[i] = std::polar<Real>(1.0, -eps);
+    }
+
+    for (const LayerPerturbation *p : {static_cast<LayerPerturbation *>(
+                                           nullptr),
+                                       &shifted}) {
+        SCOPED_TRACE(p ? "perturbed" : "unperturbed");
+        diffractive.setPerturbation(p);
+        fixed.setPerturbation(p);
+        Field x(16, 16), g(16, 16);
+        for (std::size_t i = 0; i < x.size(); ++i) {
+            x[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+            g[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+        }
+
+        Field a = x, b = x;
+        diffractive.inferInPlace(a, workspace);
+        fixed.inferInPlace(b, workspace);
+        EXPECT_TRUE(sameBits(a, b)) << "inferInPlace";
+
+        a = x;
+        b = x;
+        diffractive.forwardInPlace(a, workspace);
+        fixed.forwardInPlace(b, workspace);
+        EXPECT_TRUE(sameBits(a, b)) << "forwardInPlace";
+
+        a = g;
+        b = g;
+        diffractive.backwardInPlace(a, workspace);
+        fixed.backwardInPlace(b, workspace);
+        EXPECT_TRUE(sameBits(a, b)) << "backwardInPlace";
+    }
+    // The realization is not ignored: the perturbed pass differs.
+    Field plain(16, 16, Complex{1, 0}), perturbed = plain;
+    fixed.setPerturbation(nullptr);
+    fixed.inferInPlace(plain, workspace);
+    fixed.setPerturbation(&shifted);
+    fixed.inferInPlace(perturbed, workspace);
+    EXPECT_FALSE(sameBits(plain, perturbed));
+
+    // Codesign inference is its argmax device state, frozen.
+    CodesignLayer codesign(prop, DeviceLut::idealPhase(8));
+    for (ParamView view : codesign.params())
+        for (Real &logit : *view.value)
+            logit = rng.normal(0.0, 1.0);
+    const std::vector<std::size_t> levels = codesign.levelIndices();
+    Field argmax(16, 16);
+    for (std::size_t i = 0; i < argmax.size(); ++i)
+        argmax[i] = codesign.lut().levels[levels[i]];
+    FixedModulationLayer deployed(prop, argmax);
+    Field x(16, 16);
+    for (std::size_t i = 0; i < x.size(); ++i)
+        x[i] = Complex{rng.uniform(-1, 1), rng.uniform(-1, 1)};
+    Field a = x, b = x;
+    codesign.inferInPlace(a, workspace);
+    deployed.inferInPlace(b, workspace);
+    EXPECT_TRUE(sameBits(a, b));
 }
 
 } // namespace

@@ -196,12 +196,8 @@ TEST(Integration, SegmentationTrainingReducesLoss)
     for (int l = 0; l < 3; ++l)
         stack.push_back(
             std::make_unique<DiffractiveLayer>(hop, 1.0, &rng));
-    PropagatorConfig sc;
-    sc.grid = spec.grid();
-    sc.wavelength = laser.wavelength;
-    sc.distance = 3 * spec.distance;
-    model.addLayer(std::make_unique<OpticalSkipLayer>(
-        std::move(stack), std::make_shared<Propagator>(sc)));
+    model.addLayer(
+        std::make_unique<OpticalSkipLayer>(hop, std::move(stack)));
     model.addLayer(std::make_unique<LayerNormLayer>());
     model.setDetector(DetectorPlane(DetectorPlane::gridLayout(32, 2, 2)));
 

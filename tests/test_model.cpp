@@ -153,12 +153,8 @@ TEST(DonnModel, SkipSerializationRoundTrip)
     std::vector<LayerPtr> inner;
     inner.push_back(std::make_unique<DiffractiveLayer>(model.hopPropagator(),
                                                        1.0, &rng));
-    PropagatorConfig sc;
-    sc.grid = spec.grid();
-    sc.wavelength = laser.wavelength;
-    sc.distance = spec.distance;
     model.addLayer(std::make_unique<OpticalSkipLayer>(
-        std::move(inner), std::make_shared<Propagator>(sc), 0.8, 0.6));
+        model.hopPropagator(), std::move(inner), 0.8, 0.6));
     model.setDetector(DetectorPlane(DetectorPlane::gridLayout(16, 4, 3)));
 
     Json j = model.toJson();
@@ -230,6 +226,14 @@ TEST(DonnModel, CraftedCheckpointFieldsThrowJsonError)
             {"lut", [](Json &j) {
                  j["layers"].asArray()[0]["lut"].asArray()[0] =
                      Json(Json::Array{});
+             }},
+            {"modulation", [](Json &j) {
+                 Json fixed;
+                 fixed["kind"] = Json("fixed");
+                 Json values; // one number, not 2 * 16 * 16
+                 values.push(Json(1.0));
+                 fixed["modulation"] = std::move(values);
+                 j["layers"].push(std::move(fixed));
              }},
         };
     for (const auto &[field, edit] : edits) {

@@ -208,6 +208,22 @@ TEST(Cli, NumericFlagsParseWholeValuesInRange)
     }
 }
 
+TEST(Cli, UnknownFlagsAreRejectedByName)
+{
+    const char *argv[] = {"prog", "spec.json", "--workers=2", "--wrokers=2",
+                          "--quiet"};
+    CliArgs args(5, const_cast<char **>(argv));
+    EXPECT_NO_THROW(args.rejectUnknown({"workers", "wrokers", "quiet"}));
+    try {
+        args.rejectUnknown({"workers", "quiet"});
+        ADD_FAILURE() << "expected CliError";
+    } catch (const CliError &e) {
+        EXPECT_STREQ(e.what(), "unknown flag --wrokers");
+    }
+    EXPECT_THROW(args.rejectUnknown({}), CliError);
+    EXPECT_NO_THROW(CliArgs().rejectUnknown({}));
+}
+
 TEST(ThreadPool, ParallelForCoversAllIndices)
 {
     ThreadPool pool(4);
