@@ -25,9 +25,11 @@
 
 using namespace lightridge;
 
+namespace {
+
 int
-main(int argc, char **argv)
-try {
+run(int argc, char **argv)
+{
     CliArgs args(argc, argv);
     const std::size_t size = args.getInt("size", 40, 1);
     const std::size_t depth = args.getInt("depth", 3, 1);
@@ -119,10 +121,12 @@ try {
     if (toSystem(codesign, slm, "fab_out"))
         std::printf("wrote fabrication bundle to fab_out/\n");
     return 0;
-} catch (const CliError &e) {
-    std::fprintf(stderr, "mnist_classification: %s\n", e.what());
-    return 1;
-} catch (const std::exception &e) {
-    std::fprintf(stderr, "mnist_classification: %s\n", e.what());
-    return 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("mnist_classification", run, argc, argv);
 }

@@ -19,9 +19,11 @@
 
 using namespace lightridge;
 
+namespace {
+
 int
-main(int argc, char **argv)
-try {
+run(int argc, char **argv)
+{
     CliArgs args(argc, argv);
     const std::size_t size = args.getInt("size", 48, 1);
     const std::size_t depth = args.getInt("depth", 3, 1);
@@ -95,10 +97,12 @@ try {
     if (toSystem(model, SlmDevice::idealPhaseOnly(256), "onchip_fab", opts))
         std::printf("wrote nano-printing bundle to onchip_fab/\n");
     return 0;
-} catch (const CliError &e) {
-    std::fprintf(stderr, "onchip_integration: %s\n", e.what());
-    return 1;
-} catch (const std::exception &e) {
-    std::fprintf(stderr, "onchip_integration: %s\n", e.what());
-    return 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("onchip_integration", run, argc, argv);
 }

@@ -21,9 +21,11 @@
 
 using namespace lightridge;
 
+namespace {
+
 int
-main(int argc, char **argv)
-try {
+run(int argc, char **argv)
+{
     CliArgs args(argc, argv);
     const std::size_t size = args.getInt("size", 48, 1);
     const std::size_t depth = args.getInt("depth", 5, 1);
@@ -80,10 +82,12 @@ try {
     model.save("quickstart_model.json");
     std::printf("wrote quickstart_model.json\n");
     return 0;
-} catch (const CliError &e) {
-    std::fprintf(stderr, "quickstart: %s\n", e.what());
-    return 1;
-} catch (const std::exception &e) {
-    std::fprintf(stderr, "quickstart: %s\n", e.what());
-    return 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("quickstart", run, argc, argv);
 }

@@ -19,9 +19,11 @@
 
 using namespace lightridge;
 
+namespace {
+
 int
-main(int argc, char **argv)
-try {
+run(int argc, char **argv)
+{
     CliArgs args(argc, argv);
     const std::size_t size = args.getInt("size", 40, 1);
     const std::size_t depth = args.getInt("depth", 3, 1);
@@ -85,10 +87,12 @@ try {
     std::printf("grayscale single-stack baseline top-1: %.3f\n",
                 evaluateAccuracy(gray, gray_test));
     return 0;
-} catch (const CliError &e) {
-    std::fprintf(stderr, "rgb_places: %s\n", e.what());
-    return 1;
-} catch (const std::exception &e) {
-    std::fprintf(stderr, "rgb_places: %s\n", e.what());
-    return 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("rgb_places", run, argc, argv);
 }

@@ -62,11 +62,9 @@ dumpMap(const RealMap &map, const std::string &path)
     writePgm(path, toGray(map.raw(), map.rows(), map.cols()));
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
-try {
+run(int argc, char **argv)
+{
     CliArgs args(argc, argv);
     const std::size_t size = args.getInt("size", 48, 1);
     const int epochs = args.getInt("epochs", 4, 1);
@@ -121,10 +119,12 @@ try {
     }
     std::printf("wrote seg_*.pgm qualitative results\n");
     return 0;
-} catch (const CliError &e) {
-    std::fprintf(stderr, "segmentation: %s\n", e.what());
-    return 1;
-} catch (const std::exception &e) {
-    std::fprintf(stderr, "segmentation: %s\n", e.what());
-    return 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("segmentation", run, argc, argv);
 }

@@ -131,10 +131,8 @@ runOne(const ExperimentSpec &spec, const std::string &out_path,
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     // Spec paths are the leading positional arguments (before any flag).
     std::vector<std::string> spec_paths;
@@ -160,16 +158,10 @@ main(int argc, char **argv)
         return 1;
     }
     CliArgs args(argc, argv);
-    int workers = -1;
-    try {
-        args.rejectUnknown({"out", "out-dir", "save-model", "dump-spec",
-                            "workers", "quiet", "robustness-sweep"});
-        if (args.has("workers"))
-            workers = args.getInt("workers", 0, 0);
-    } catch (const CliError &e) {
-        std::fprintf(stderr, "lightridge_run: %s\n", e.what());
-        return 1;
-    }
+    args.rejectUnknown({"out", "out-dir", "save-model", "dump-spec",
+                        "workers", "quiet", "robustness-sweep"});
+    const int workers =
+        args.has("workers") ? args.getInt("workers", 0, 0) : -1;
 
     std::vector<ExperimentSpec> specs;
     for (const std::string &path : spec_paths) {
@@ -234,4 +226,12 @@ main(int argc, char **argv)
                     "caches)\n",
                     specs.size(), failures);
     return failures == 0 ? 0 : 2;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("lightridge_run", run, argc, argv);
 }

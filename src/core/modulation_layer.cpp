@@ -143,7 +143,6 @@ FixedModulationLayer::toJson() const
 {
     Json j;
     j["kind"] = Json(kind());
-    j["gamma"] = Json(gamma());
     const Field &table = modulation();
     Json mod;
     for (std::size_t i = 0; i < table.size(); ++i) {
@@ -168,10 +167,8 @@ FixedModulationLayer::fromJson(const Json &j,
     for (std::size_t i = 0; i < table.size(); ++i)
         table[i] = Complex{values[2 * i].asNumber(),
                            values[2 * i + 1].asNumber()};
-    auto layer = std::make_unique<FixedModulationLayer>(std::move(propagator),
-                                                        std::move(table));
-    layer->setGamma(j.numberOr("gamma", 1.0));
-    return layer;
+    return std::make_unique<FixedModulationLayer>(std::move(propagator),
+                                                  std::move(table));
 }
 
 } // namespace lightridge

@@ -126,8 +126,10 @@ class ModulationLayer : public Layer
 
 /**
  * Frozen modulation of a deployed (hardware) model: the table holds the
- * device states with gamma and fabrication variation folded in, nothing
- * trains, and backwardInPlace() is the pure adjoint.
+ * device states with gamma and fabrication variation folded in, so gamma
+ * stays 1 and is not saved, and nothing trains. Like every layer it
+ * honours an attached perturbation, and backwardInPlace() follows a
+ * forwardInPlace().
  */
 class FixedModulationLayer : public ModulationLayer
 {
@@ -136,6 +138,7 @@ class FixedModulationLayer : public ModulationLayer
                          Field modulation);
 
     std::string kind() const override { return "fixed"; }
+    void setGamma(Real gamma) = delete; ///< the table holds gamma
     LayerPtr clone() const override
     {
         return std::make_unique<FixedModulationLayer>(*this);

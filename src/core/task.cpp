@@ -28,8 +28,10 @@ forEachModelLayer(DonnModel &model, const std::function<void(Layer *)> &fn)
 void
 applyModelGamma(DonnModel &model, Real gamma)
 {
+    // A deployed table already holds its gamma (deployRaw, deployCodesign).
     forEachModelLayer(model, [gamma](Layer *layer) {
-        if (auto *m = dynamic_cast<ModulationLayer *>(layer))
+        auto *m = dynamic_cast<ModulationLayer *>(layer);
+        if (m && !dynamic_cast<FixedModulationLayer *>(layer))
             m->setGamma(gamma);
     });
 }

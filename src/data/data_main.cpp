@@ -145,10 +145,8 @@ inspectCommand(const std::string &path, bool full)
     return 0;
 }
 
-} // namespace
-
 int
-main(int argc, char **argv)
+run(int argc, char **argv)
 {
     if (argc < 2) {
         usage();
@@ -157,35 +155,35 @@ main(int argc, char **argv)
     const std::string command = argv[1];
     const CliArgs args(argc - 1, argv + 1);
 
-    try {
-        if (command == "pack")
-            return packCommand(args);
-        if (command == "inspect" || command == "validate") {
-            args.rejectUnknown({});
-            // The manifest path is the first positional after the command.
-            std::string path;
-            for (int i = 2; i < argc; ++i) {
-                if (std::string(argv[i]).rfind("--", 0) != 0) {
-                    path = argv[i];
-                    break;
-                }
+    if (command == "pack")
+        return packCommand(args);
+    if (command == "inspect" || command == "validate") {
+        args.rejectUnknown({});
+        // The manifest path is the first positional after the command.
+        std::string path;
+        for (int i = 2; i < argc; ++i) {
+            if (std::string(argv[i]).rfind("--", 0) != 0) {
+                path = argv[i];
+                break;
             }
-            if (path.empty()) {
-                usage();
-                return 1;
-            }
-            return inspectCommand(path, command == "validate");
         }
-    } catch (const CliError &err) {
-        std::fprintf(stderr, "lightridge_data: %s\n", err.what());
-        return 1;
-    } catch (const std::exception &err) {
-        std::fprintf(stderr, "lightridge_data: %s\n", err.what());
-        return 2;
+        if (path.empty()) {
+            usage();
+            return 1;
+        }
+        return inspectCommand(path, command == "validate");
     }
 
     std::fprintf(stderr, "lightridge_data: unknown command: %s\n",
                  command.c_str());
     usage();
     return 1;
+}
+
+} // namespace
+
+int
+main(int argc, char **argv)
+{
+    return runMain("lightridge_data", run, argc, argv);
 }

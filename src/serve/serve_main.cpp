@@ -404,10 +404,5 @@ serve(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    try {
-        return serve(argc, argv);
-    } catch (const CliError &e) {
-        std::fprintf(stderr, "lightridge_serve: %s\n", e.what());
-        return 1;
-    }
+    return runMain("lightridge_serve", serve, argc, argv);
 }

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
@@ -101,6 +102,20 @@ CliArgs::getBool(const std::string &name, bool fallback) const
     if (it->second.empty() || it->second == "1" || it->second == "true")
         return true;
     return false;
+}
+
+int
+runMain(const char *name, int (*body)(int, char **), int argc, char **argv)
+{
+    try {
+        return body(argc, argv);
+    } catch (const CliError &e) {
+        std::fprintf(stderr, "%s: %s\n", name, e.what());
+        return 1;
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "%s: %s\n", name, e.what());
+        return 2;
+    }
 }
 
 bool

@@ -75,6 +75,14 @@ class CliArgs
 };
 
 /**
+ * Run a program's `body` and map an escaping exception to its exit code:
+ * CliError (a bad or unknown flag) exits 1 and any other std::exception
+ * 2, each printed as "<name>: <message>" on stderr.
+ */
+int runMain(const char *name, int (*body)(int, char **), int argc,
+            char **argv);
+
+/**
  * True when the LR_BENCH_FULL environment variable requests paper-scale
  * benchmark parameters (any non-empty value other than "0").
  */

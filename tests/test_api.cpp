@@ -333,6 +333,37 @@ TEST(LayerFactory, CheckpointsLoadEveryLayerKindTheySave)
                         FabricationVariation{0.05, 0.02}, &fab));
 }
 
+template <typename L>
+concept SetsGamma = requires(L &layer) { layer.setGamma(0.5); };
+
+TEST(LayerFactory, DeployedTablesHoldTheirGamma)
+{
+    // deployRaw folds gamma into each table, so a fixed layer's gamma is
+    // the constant 1: it is not saved, it has no setGamma, and
+    // applyModelGamma leaves a deployed model's output alone.
+    static_assert(SetsGamma<DiffractiveLayer> && SetsGamma<CodesignLayer> &&
+                  !SetsGamma<FixedModulationLayer>);
+    Rng rng(6);
+    DonnModel raw = buildSpecModel(tinySpec(), 10, &rng);
+    applyModelGamma(raw, 0.9);
+    DonnModel hw = deployRaw(raw, SlmDevice::idealPhaseOnly(16),
+                             FabricationVariation::none(), nullptr);
+    RealMap image(16, 16, 0.1);
+    image(5, 9) = 1.0;
+    const Field before = hw.inferField(hw.encode(image));
+    applyModelGamma(hw, 0.5);
+    const Field after = hw.inferField(hw.encode(image));
+    ASSERT_EQ(before.size(), after.size());
+    EXPECT_EQ(std::memcmp(before.data(), after.data(),
+                          before.size() * sizeof(Complex)),
+              0);
+
+    auto *fixed = dynamic_cast<FixedModulationLayer *>(hw.layer(0));
+    ASSERT_NE(fixed, nullptr);
+    EXPECT_EQ(fixed->gamma(), 1.0);
+    EXPECT_FALSE(fixed->toJson().has("gamma"));
+}
+
 TEST(RunExperiment, ClassificationEndToEnd)
 {
     ExperimentSpec spec = tinySpec();
