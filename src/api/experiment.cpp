@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <type_traits>
 
-#include "core/layer_norm.hpp"
-#include "core/skip.hpp"
 #include "data/shard.hpp"
 #include "data/stream.hpp"
 #include "data/synth_city.hpp"
@@ -21,27 +19,6 @@
 namespace lightridge {
 
 namespace {
-
-/** Strictness helper: every object key must be in the allowed set. */
-template <typename Keys>
-void
-expectKeysIn(const Json &j, const Keys &allowed, const std::string &where)
-{
-    for (const auto &entry : j.asObject()) {
-        bool known = false;
-        for (const auto &key : allowed)
-            known = known || entry.first == key;
-        if (!known)
-            throw JsonError("unknown key in " + where + ": " + entry.first);
-    }
-}
-
-void
-expectKeys(const Json &j, std::initializer_list<const char *> allowed,
-           const std::string &where)
-{
-    expectKeysIn(j, allowed, where);
-}
 
 /** Optional integer member >= `min` (checked; see Json::asInteger). */
 std::size_t
@@ -120,133 +97,7 @@ lossFromName(const std::string &name)
     throw JsonError("unknown loss kind: " + name);
 }
 
-/** Validate a layer-spec array against the factory (strict, recursive). */
-void
-validateLayerSpecs(const Json &layers)
-{
-    for (const Json &layer : layers.asArray())
-        LayerFactory::instance().validateSpec(layer);
-}
-
 } // namespace
-
-// --------------------------------------------------------------------------
-// LayerFactory
-// --------------------------------------------------------------------------
-
-LayerFactory::LayerFactory()
-{
-    registerKind(
-        "diffractive",
-        [](const Json &j, const Context &ctx) {
-            const std::size_t count = sizeOr(j, "count", 1);
-            const Real gamma = j.numberOr("gamma", 1.0);
-            std::vector<LayerPtr> layers;
-            for (std::size_t i = 0; i < count; ++i)
-                layers.push_back(std::make_unique<DiffractiveLayer>(
-                    ctx.model->hopPropagator(), gamma, ctx.rng));
-            return layers;
-        },
-        {"kind", "count", "gamma"});
-
-    registerKind(
-        "codesign",
-        [](const Json &j, const Context &ctx) {
-            const std::size_t count = sizeOr(j, "count", 1);
-            const std::size_t levels = sizeOr(j, "levels", 16);
-            const Real tau = j.numberOr("tau", 1.0);
-            const Real gamma = j.numberOr("gamma", 1.0);
-            DeviceLut lut = DeviceLut::idealPhase(levels);
-            std::vector<LayerPtr> layers;
-            for (std::size_t i = 0; i < count; ++i)
-                layers.push_back(std::make_unique<CodesignLayer>(
-                    ctx.model->hopPropagator(), lut, tau, gamma, ctx.rng));
-            return layers;
-        },
-        {"kind", "count", "levels", "tau", "gamma"});
-
-    registerKind(
-        "layernorm",
-        [](const Json &j, const Context &) {
-            std::vector<LayerPtr> layers;
-            layers.push_back(std::make_unique<LayerNormLayer>(
-                j.numberOr("eps", 1e-12),
-                j.has("subtract_mean") && j.at("subtract_mean").asBool()));
-            return layers;
-        },
-        {"kind", "eps", "subtract_mean"});
-
-    registerKind(
-        "skip",
-        [](const Json &j, const Context &ctx) {
-            if (!j.has("inner"))
-                throw JsonError("skip layer spec requires \"inner\"");
-            std::vector<LayerPtr> inner;
-            for (const Json &inner_spec : j.at("inner").asArray())
-                for (LayerPtr &layer :
-                     LayerFactory::instance().build(inner_spec, ctx))
-                    inner.push_back(std::move(layer));
-            std::vector<LayerPtr> layers;
-            layers.push_back(std::make_unique<OpticalSkipLayer>(
-                ctx.model->hopPropagator(), std::move(inner)));
-            return layers;
-        },
-        {"kind", "inner"});
-}
-
-LayerFactory &
-LayerFactory::instance()
-{
-    static LayerFactory factory;
-    return factory;
-}
-
-void
-LayerFactory::registerKind(const std::string &kind, Builder builder,
-                           std::vector<std::string> allowed_keys)
-{
-    builders_[kind] = Entry{std::move(builder), std::move(allowed_keys)};
-}
-
-bool
-LayerFactory::has(const std::string &kind) const
-{
-    return builders_.count(kind) > 0;
-}
-
-std::vector<std::string>
-LayerFactory::kinds() const
-{
-    std::vector<std::string> names;
-    names.reserve(builders_.size());
-    for (const auto &entry : builders_)
-        names.push_back(entry.first);
-    return names;
-}
-
-void
-LayerFactory::validateSpec(const Json &layer_spec) const
-{
-    if (!layer_spec.isObject() || !layer_spec.has("kind"))
-        throw JsonError("layer spec without \"kind\"");
-    const std::string &kind = layer_spec.at("kind").asString();
-    auto it = builders_.find(kind);
-    if (it == builders_.end())
-        throw JsonError("unknown layer kind: " + kind);
-    if (!it->second.keys.empty())
-        expectKeysIn(layer_spec, it->second.keys, kind + " layer spec");
-    if (kind == "skip" && layer_spec.has("inner"))
-        for (const Json &inner : layer_spec.at("inner").asArray())
-            validateSpec(inner);
-}
-
-std::vector<LayerPtr>
-LayerFactory::build(const Json &layer_spec, const Context &context) const
-{
-    validateSpec(layer_spec);
-    const std::string &kind = layer_spec.at("kind").asString();
-    return builders_.at(kind).builder(layer_spec, context);
-}
 
 // --------------------------------------------------------------------------
 // TrainConfig <-> JSON
@@ -458,7 +309,7 @@ ExperimentSpec::fromJson(const Json &j)
     spec.model_seed = seedOr(j, "model_seed", spec.model_seed);
 
     if (j.has("layers")) {
-        validateLayerSpecs(j.at("layers"));
+        checkLayersJson(j.at("layers"));
         spec.layers = j.at("layers");
     }
 
@@ -620,16 +471,8 @@ buildSpecModel(const ExperimentSpec &spec, std::size_t num_classes,
     Laser laser;
     laser.wavelength = spec.wavelength;
     DonnModel model(system, laser);
-
-    LayerFactory::Context ctx;
-    ctx.model = &model;
-    ctx.rng = rng;
-    const Json layers =
-        spec.layers.isNull() ? defaultLayers(spec.task) : spec.layers;
-    for (const Json &layer_spec : layers.asArray())
-        for (LayerPtr &layer :
-             LayerFactory::instance().build(layer_spec, ctx))
-            model.addLayer(std::move(layer));
+    model.addLayers(
+        spec.layers.isNull() ? defaultLayers(spec.task) : spec.layers, rng);
 
     std::size_t det_size = spec.detector.det_size;
     if (det_size == 0)

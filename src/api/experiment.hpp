@@ -7,15 +7,13 @@
  * model architecture, dataset, task kind, and training hyperparameters —
  * as a strict, versionable JSON document. runExperiment() executes a spec
  * end to end through the Task/Session engine and returns a structured
- * results report. Model architectures are described as a list of layer
- * specs resolved through the registry-based LayerFactory, so downstream
- * code (and tests) can plug in new layer kinds without touching the
- * parser.
+ * results report. A model architecture is a list of layer entries in the
+ * schema checkpoints use (DonnModel::addLayers): a spec entry names a kind
+ * and may omit the parameters a checkpoint entry carries, which are then
+ * drawn from the model seed.
  */
 #pragma once
 
-#include <functional>
-#include <map>
 #include <string>
 #include <vector>
 
@@ -26,66 +24,6 @@
 #include "utils/json.hpp"
 
 namespace lightridge {
-
-/**
- * Registry of architecture layer builders keyed by the spec "kind"
- * string. Builders return the layers to append for one spec entry (a
- * single entry may expand to several stacked layers via "count").
- */
-class LayerFactory
-{
-  public:
-    /** Everything a builder may need to construct layers for a model. */
-    struct Context
-    {
-        const DonnModel *model = nullptr; ///< for hop propagator + spec
-        Rng *rng = nullptr;               ///< phase-initialization stream
-    };
-
-    using Builder =
-        std::function<std::vector<LayerPtr>(const Json &, const Context &)>;
-
-    /** Process-wide registry preloaded with the built-in kinds. */
-    static LayerFactory &instance();
-
-    /**
-     * Register (or replace) a builder for a layer kind.
-     * @param allowed_keys spec keys the kind accepts (always including
-     *        "kind"); empty disables key checking for that kind
-     */
-    void registerKind(const std::string &kind, Builder builder,
-                      std::vector<std::string> allowed_keys = {});
-
-    bool has(const std::string &kind) const;
-
-    /** Registered kind names (sorted). */
-    std::vector<std::string> kinds() const;
-
-    /**
-     * Validate one spec entry without building: registered kind, no
-     * unknown keys, recursing into skip interiors.
-     * @throws JsonError on any violation
-     */
-    void validateSpec(const Json &layer_spec) const;
-
-    /**
-     * Build the layers for one spec entry (validates first).
-     * @throws JsonError when the kind is missing or unregistered, or the
-     *         entry carries unknown keys.
-     */
-    std::vector<LayerPtr> build(const Json &layer_spec,
-                                const Context &context) const;
-
-  private:
-    struct Entry
-    {
-        Builder builder;
-        std::vector<std::string> keys;
-    };
-
-    LayerFactory();
-    std::map<std::string, Entry> builders_;
-};
 
 /** Dataset slice of an experiment (synthetic generators, seeded). */
 struct DataSpec
@@ -158,7 +96,9 @@ struct ExperimentSpec
     SystemSpec system;      ///< distance <= 0 resolves to half-cone ideal
     Real wavelength = 532e-9;
     uint64_t model_seed = 7;
-    Json layers;            ///< array of layer specs (LayerFactory kinds)
+    /** Layer entries in the checkpoint schema, parameters optional
+     *  (DonnModel::addLayers); null builds the task default. */
+    Json layers;
     DetectorSpec detector;
     TrainConfig train;
 
@@ -174,8 +114,9 @@ struct ExperimentSpec
     Json toJson() const;
 
     /**
-     * Strict parse: unknown keys anywhere in the spec, unregistered layer
-     * kinds, and bad enum strings all throw JsonError.
+     * Strict parse: unknown keys anywhere in the spec, unknown layer
+     * kinds, bad layer values (checkLayersJson) and bad enum strings all
+     * throw JsonError.
      */
     static ExperimentSpec fromJson(const Json &j);
 
@@ -235,7 +176,7 @@ TrainConfig trainConfigFromJson(const Json &j);
 
 /**
  * Build the single-stack model an experiment describes (layers through
- * the factory, detector per spec). Used for classification and
+ * DonnModel::addLayers, detector per spec). Used for classification and
  * segmentation tasks; RGB builds one stack per channel.
  * @param num_classes detector class count after dataset defaulting
  */

@@ -173,27 +173,4 @@ CodesignLayer::toJson() const
     return j;
 }
 
-std::unique_ptr<CodesignLayer>
-CodesignLayer::fromJson(const Json &j,
-                        std::shared_ptr<const Propagator> propagator)
-{
-    DeviceLut lut;
-    for (const Json &entry : j.at("lut").asArray()) {
-        const auto &pair = entry.asArray();
-        if (pair.size() != 2)
-            throw JsonError("codesign layer lut entry must be [re, im], got " +
-                            std::to_string(pair.size()) + " values");
-        lut.levels.emplace_back(pair[0].asNumber(), pair[1].asNumber());
-    }
-    auto layer = std::make_unique<CodesignLayer>(
-        std::move(propagator), std::move(lut), j.numberOr("tau", 1.0),
-        j.numberOr("gamma", 1.0));
-    const auto &logits = j.at("logits").asArray();
-    if (logits.size() != layer->logits_.size())
-        throw JsonError("codesign layer logits size mismatch");
-    for (std::size_t i = 0; i < logits.size(); ++i)
-        layer->logits_[i] = logits[i].asNumber();
-    return layer;
-}
-
 } // namespace lightridge

@@ -76,9 +76,6 @@ class CodesignLayer : public ModulationLayer
      */
     void initFromPhase(const RealMap &phase, Real confidence = 4.0);
 
-    static std::unique_ptr<CodesignLayer>
-    fromJson(const Json &j, std::shared_ptr<const Propagator> propagator);
-
   protected:
     const std::vector<Real> &tableParams() const override { return logits_; }
 

@@ -90,18 +90,4 @@ DiffractiveLayer::toJson() const
     return j;
 }
 
-std::unique_ptr<DiffractiveLayer>
-DiffractiveLayer::fromJson(const Json &j,
-                           std::shared_ptr<const Propagator> propagator)
-{
-    auto layer = std::make_unique<DiffractiveLayer>(
-        std::move(propagator), j.numberOr("gamma", 1.0));
-    const auto &phases = j.at("phase").asArray();
-    if (phases.size() != layer->phase_.size())
-        throw JsonError("diffractive layer phase size mismatch");
-    for (std::size_t i = 0; i < phases.size(); ++i)
-        layer->phase_[i] = phases[i].asNumber();
-    return layer;
-}
-
 } // namespace lightridge

@@ -43,10 +43,6 @@ class DiffractiveLayer : public ModulationLayer
     const RealMap &phase() const { return phase_; }
     RealMap &phase() { return phase_; }
 
-    /** Restore phases from serialized form. */
-    static std::unique_ptr<DiffractiveLayer>
-    fromJson(const Json &j, std::shared_ptr<const Propagator> propagator);
-
   protected:
     const std::vector<Real> &tableParams() const override
     {

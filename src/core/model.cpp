@@ -121,34 +121,146 @@ regionsFromJson(const Json &j, std::size_t n, const std::string &field)
     return regions;
 }
 
-/**
- * Read one checkpoint layer of any kind; a skip block reads its interior
- * through the same function, so every kind a model saves loads at any
- * depth.
- */
-LayerPtr
-layerFromJson(const Json &j, const std::shared_ptr<const Propagator> &hop)
+/** `values`, a JSON array of `size` numbers, into `into`; `what` names
+ *  the array in errors. */
+void
+loadReals(const Json &values, Real *into, std::size_t size,
+          const std::string &what)
 {
-    const std::string &kind = j.at("kind").asString();
-    if (kind == "diffractive")
-        return DiffractiveLayer::fromJson(j, hop);
-    if (kind == "codesign")
-        return CodesignLayer::fromJson(j, hop);
-    if (kind == "fixed")
-        return FixedModulationLayer::fromJson(j, hop);
-    if (kind == "layernorm")
-        return std::make_unique<LayerNormLayer>(
-            j.numberOr("eps", 1e-12),
-            j.has("subtract_mean") && j.at("subtract_mean").asBool());
-    if (kind == "skip") {
+    const Json::Array &list = values.asArray();
+    if (list.size() != size)
+        throw JsonError(what + " must hold " + std::to_string(size) +
+                        " numbers, got " + std::to_string(list.size()));
+    for (std::size_t i = 0; i < size; ++i)
+        into[i] = list[i].asNumber();
+}
+
+/** An entry's `count` (default 1), which is 1 when it carries `params`. */
+std::size_t
+layerCount(const Json &entry, const char *params, const std::string &where)
+{
+    const std::size_t count =
+        entry.has("count") ? entry.at("count").asInteger(where + " count", 1)
+                           : 1;
+    if (count != 1 && entry.has(params))
+        throw JsonError(where + ": count must be 1 beside \"" +
+                        std::string(params) + "\"");
+    return count;
+}
+
+/**
+ * The one reader of layer entries, from a spec or a checkpoint. It checks
+ * the entry's kind, keys and values and, when `out` is set, appends its
+ * layers over `hop`: an entry that carries its parameters loads them into
+ * one layer, an entry without them draws `count` layers from `rng` (a null
+ * `rng`, a checkpoint load, makes the missing parameters an error). A skip
+ * reads its interior through this same function.
+ */
+void
+readLayer(const Json &entry, const std::shared_ptr<const Propagator> &hop,
+          Rng *rng, std::vector<LayerPtr> *out)
+{
+    if (!entry.isObject() || !entry.has("kind"))
+        throw JsonError("layer entry without \"kind\"");
+    const std::string &kind = entry.at("kind").asString();
+    const std::string where = kind + " layer";
+    if (kind == "diffractive") {
+        expectKeys(entry, {"kind", "count", "gamma", "phase"}, where);
+        const std::size_t count = layerCount(entry, "phase", where);
+        const Real gamma = entry.numberOr("gamma", 1.0);
+        const bool carried = entry.has("phase") || rng == nullptr;
+        for (std::size_t i = 0; out != nullptr && i < count; ++i) {
+            auto layer = std::make_unique<DiffractiveLayer>(
+                hop, gamma, carried ? nullptr : rng);
+            std::vector<Real> &phase = layer->phase().raw();
+            if (carried)
+                loadReals(entry.at("phase"), phase.data(), phase.size(),
+                          where + " phase");
+            out->push_back(std::move(layer));
+        }
+    } else if (kind == "codesign") {
+        expectKeys(entry,
+                   {"kind", "count", "levels", "lut", "tau", "gamma",
+                    "logits"},
+                   where);
+        const std::size_t count = layerCount(entry, "logits", where);
+        const Real tau = entry.numberOr("tau", 1.0);
+        if (!(tau > 0))
+            throw JsonError(where + ": tau must be > 0");
+        const Real gamma = entry.numberOr("gamma", 1.0);
+        const std::size_t levels =
+            entry.has("levels")
+                ? entry.at("levels").asInteger(where + " levels", 1)
+                : 16;
+        DeviceLut lut;
+        if (entry.has("lut")) {
+            if (entry.has("levels"))
+                throw JsonError(where + ": levels beside lut");
+            for (const Json &level : entry.at("lut").asArray()) {
+                const Json::Array &pair = level.asArray();
+                if (pair.size() != 2)
+                    throw JsonError(where + " lut entry must be [re, im], "
+                                    "got " + std::to_string(pair.size()) +
+                                    " values");
+                lut.levels.emplace_back(pair[0].asNumber(),
+                                        pair[1].asNumber());
+            }
+            if (lut.size() == 0)
+                throw JsonError(where + ": lut must not be empty");
+        } else if (out != nullptr) {
+            lut = DeviceLut::idealPhase(levels);
+        }
+        const bool carried = entry.has("logits") || rng == nullptr;
+        for (std::size_t i = 0; out != nullptr && i < count; ++i) {
+            auto layer =
+                std::make_unique<CodesignLayer>(hop, lut, tau, gamma, rng);
+            std::vector<Real> &logits = *layer->params().front().value;
+            if (carried)
+                loadReals(entry.at("logits"), logits.data(), logits.size(),
+                          where + " logits");
+            out->push_back(std::move(layer));
+        }
+    } else if (kind == "fixed") {
+        expectKeys(entry, {"kind", "modulation"}, where);
+        if (!entry.has("modulation"))
+            throw JsonError(where + " requires \"modulation\"");
+        if (out != nullptr) {
+            const std::size_t n = hop->config().grid.n;
+            Field table(n, n);
+            // A std::complex array may be read as its interleaved {re, im}
+            // reals ([complex.numbers]), the order toJson() saves.
+            loadReals(entry.at("modulation"),
+                      reinterpret_cast<Real *>(table.data()),
+                      2 * table.size(), where + " modulation");
+            out->push_back(std::make_unique<FixedModulationLayer>(
+                hop, std::move(table)));
+        }
+    } else if (kind == "layernorm") {
+        expectKeys(entry, {"kind", "eps", "subtract_mean"}, where);
+        const Real eps = entry.numberOr("eps", 1e-12);
+        const bool subtract_mean = entry.has("subtract_mean") &&
+                                   entry.at("subtract_mean").asBool();
+        if (out != nullptr)
+            out->push_back(
+                std::make_unique<LayerNormLayer>(eps, subtract_mean));
+    } else if (kind == "skip") {
+        expectKeys(entry, {"kind", "inner", "alpha", "beta"}, where);
+        const Real alpha =
+            entry.numberOr("alpha", OpticalSkipLayer::kHalfSplit);
+        const Real beta = entry.numberOr("beta", OpticalSkipLayer::kHalfSplit);
+        const Json::Array &entries = entry.at("inner").asArray();
+        if (entries.empty())
+            throw JsonError(where + ": inner must not be empty");
         std::vector<LayerPtr> inner;
-        for (const Json &entry : j.at("inner").asArray())
-            inner.push_back(layerFromJson(entry, hop));
-        return std::make_unique<OpticalSkipLayer>(
-            hop, std::move(inner), j.numberOr("alpha", 1.0),
-            j.numberOr("beta", 0.0));
+        for (const Json &inner_entry : entries)
+            readLayer(inner_entry, hop, rng,
+                      out != nullptr ? &inner : nullptr);
+        if (out != nullptr)
+            out->push_back(std::make_unique<OpticalSkipLayer>(
+                hop, std::move(inner), alpha, beta));
+    } else {
+        throw JsonError("unknown layer kind: " + kind);
     }
-    throw JsonError("unknown layer kind: " + kind);
 }
 
 } // namespace
@@ -168,9 +280,24 @@ DonnModel::DonnModel(SystemSpec spec, Laser laser)
 }
 
 void
+checkLayersJson(const Json &entries)
+{
+    for (const Json &entry : entries.asArray())
+        readLayer(entry, nullptr, nullptr, nullptr);
+}
+
+void
 DonnModel::addLayer(LayerPtr layer)
 {
     layers_.push_back(std::move(layer));
+}
+
+void
+DonnModel::addLayers(const Json &entries, Rng *rng)
+{
+    checkLayersJson(entries);
+    for (const Json &entry : entries.asArray())
+        readLayer(entry, propagator_, rng, &layers_);
 }
 
 void
@@ -379,8 +506,7 @@ DonnModel::fromJson(const Json &j)
     laser.power_watts = lj.numberOr("power_watts", 5e-3);
 
     DonnModel model(spec, laser);
-    for (const Json &layer_json : j.at("layers").asArray())
-        model.addLayer(layerFromJson(layer_json, model.propagator_));
+    model.addLayers(j.at("layers"), nullptr);
 
     if (j.has("detector")) {
         const Json &det = j.at("detector");

@@ -55,6 +55,14 @@ void verifyCheckpointHeader(const Json &j, const std::string &origin);
  */
 Json loadCheckpointJson(const std::string &path);
 
+/**
+ * Check a spec's or a checkpoint's `layers` array without building it:
+ * each entry's kind, its keys and their values, recursing into skip
+ * interiors (the schema is DonnModel::addLayers()).
+ * @throws JsonError naming the kind or key at fault
+ */
+void checkLayersJson(const Json &entries);
+
 /** Architectural parameters of a DONN system (the DSE design space). */
 struct SystemSpec
 {
@@ -82,6 +90,19 @@ class DonnModel
 
     /** Append a layer (takes ownership). */
     void addLayer(LayerPtr layer);
+
+    /**
+     * Append the layers of a spec's or a checkpoint's `layers` array, one
+     * schema for both (README section 3). An entry that carries its
+     * parameters (phase, logits or modulation) loads them into one layer;
+     * an entry without them builds `count` layers drawn from `rng` in
+     * entry order. A skip's interior is read the same way. The whole
+     * array is checked (checkLayersJson) before the first layer is built.
+     * @param rng parameter draws and codesign's Gumbel-noise source;
+     *        nullptr (a checkpoint load) makes missing parameters an error
+     * @throws JsonError naming the kind or key at fault
+     */
+    void addLayers(const Json &entries, Rng *rng);
 
     /** Number of stacked layers. */
     std::size_t depth() const { return layers_.size(); }

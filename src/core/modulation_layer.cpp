@@ -153,22 +153,4 @@ FixedModulationLayer::toJson() const
     return j;
 }
 
-std::unique_ptr<FixedModulationLayer>
-FixedModulationLayer::fromJson(const Json &j,
-                               std::shared_ptr<const Propagator> propagator)
-{
-    const std::size_t n = propagator->config().grid.n;
-    const auto &values = j.at("modulation").asArray();
-    if (values.size() != 2 * n * n)
-        throw JsonError("fixed layer modulation must hold 2*n*n = " +
-                        std::to_string(2 * n * n) + " numbers, got " +
-                        std::to_string(values.size()));
-    Field table(n, n);
-    for (std::size_t i = 0; i < table.size(); ++i)
-        table[i] = Complex{values[2 * i].asNumber(),
-                           values[2 * i + 1].asNumber()};
-    return std::make_unique<FixedModulationLayer>(std::move(propagator),
-                                                  std::move(table));
-}
-
 } // namespace lightridge

@@ -148,10 +148,6 @@ class FixedModulationLayer : public ModulationLayer
     /** The frozen table (never rebuilt, so the reference stays valid). */
     const Field &modulation() const { return table()->table; }
 
-    /** Restore a frozen table; `modulation` holds 2 * n * n numbers. */
-    static std::unique_ptr<FixedModulationLayer>
-    fromJson(const Json &j, std::shared_ptr<const Propagator> propagator);
-
   protected:
     const std::vector<Real> &tableParams() const override;
 };

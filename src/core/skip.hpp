@@ -23,6 +23,9 @@ namespace lightridge {
 class OpticalSkipLayer : public Layer
 {
   public:
+    /** Amplitude fraction of each path of a 50:50 splitter. */
+    static constexpr Real kHalfSplit = 0.707106781186548;
+
     /**
      * @param hop the model's inter-plane hop; the shortcut P is this hop
      *        stretched over the block's optical path, hop distance times
@@ -33,8 +36,7 @@ class OpticalSkipLayer : public Layer
      */
     OpticalSkipLayer(std::shared_ptr<const Propagator> hop,
                      std::vector<LayerPtr> inner,
-                     Real alpha = 0.707106781186548,  // 50:50 splitter
-                     Real beta = 0.707106781186548);
+                     Real alpha = kHalfSplit, Real beta = kHalfSplit);
 
     /** Deep copy of the block; the (immutable) shortcut is shared. */
     OpticalSkipLayer(const OpticalSkipLayer &other);

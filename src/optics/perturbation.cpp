@@ -17,20 +17,6 @@ namespace lightridge {
 
 namespace {
 
-/** Strict sub-block key check (mirrors the ExperimentSpec parser). */
-void
-expectBlockKeys(const Json &j, std::initializer_list<const char *> allowed,
-                const std::string &where)
-{
-    for (const auto &entry : j.asObject()) {
-        bool known = false;
-        for (const char *key : allowed)
-            known = known || entry.first == key;
-        if (!known)
-            throw JsonError("unknown key in " + where + ": " + entry.first);
-    }
-}
-
 const char *
 distName(ErrorDist::Kind kind)
 {
@@ -89,7 +75,7 @@ ErrorDist::toJson() const
 ErrorDist
 ErrorDist::fromJson(const Json &j, const std::string &where)
 {
-    expectBlockKeys(j, {"dist", "scale"}, where);
+    expectKeys(j, {"dist", "scale"}, where);
     ErrorDist dist;
     dist.kind = distFromName(j.at("dist").asString(), where);
     dist.scale = j.at("scale").asNumber();
@@ -151,8 +137,8 @@ PerturbationSpec::toJson() const
 PerturbationSpec
 PerturbationSpec::fromJson(const Json &j)
 {
-    expectBlockKeys(j, {"enabled", "lateral", "axial", "phase_sigma"},
-                    "perturbation");
+    expectKeys(j, {"enabled", "lateral", "axial", "phase_sigma"},
+               "perturbation");
     PerturbationSpec spec;
     if (j.has("enabled"))
         spec.enabled = j.at("enabled").asBool();
@@ -161,18 +147,14 @@ PerturbationSpec::fromJson(const Json &j)
             ErrorDist::fromJson(j.at("lateral"), "perturbation.lateral");
     if (j.has("axial")) {
         const Json &a = j.at("axial");
-        expectBlockKeys(a, {"dist", "scale", "levels"},
-                        "perturbation.axial");
+        expectKeys(a, {"dist", "scale", "levels"}, "perturbation.axial");
         Json stripped;
         stripped["dist"] = a.at("dist");
         stripped["scale"] = a.at("scale");
         spec.axial = ErrorDist::fromJson(stripped, "perturbation.axial");
-        if (a.has("levels")) {
-            const int levels = a.at("levels").asInt();
-            if (levels < 2)
-                throw JsonError("perturbation.axial.levels must be >= 2");
-            spec.axial_levels = static_cast<std::size_t>(levels);
-        }
+        if (a.has("levels"))
+            spec.axial_levels =
+                a.at("levels").asInteger("perturbation.axial.levels", 2);
     }
     if (j.has("phase_sigma")) {
         spec.phase_sigma = j.at("phase_sigma").asNumber();

@@ -409,4 +409,17 @@ Json::save(const std::string &path) const
     return static_cast<bool>(out);
 }
 
+void
+expectKeys(const Json &j, std::initializer_list<const char *> allowed,
+           const std::string &where)
+{
+    for (const auto &entry : j.asObject()) {
+        bool known = false;
+        for (const char *key : allowed)
+            known = known || entry.first == key;
+        if (!known)
+            throw JsonError("unknown key in " + where + ": " + entry.first);
+    }
+}
+
 } // namespace lightridge

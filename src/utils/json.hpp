@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <initializer_list>
 #include <limits>
 #include <map>
 #include <memory>
@@ -163,5 +164,12 @@ class Json
     Array array_;
     Object object_;
 };
+
+/**
+ * Strict-key check for input we do not control: every key of the object
+ * `j` must be in `allowed`, else JsonError "unknown key in <where>: <key>".
+ */
+void expectKeys(const Json &j, std::initializer_list<const char *> allowed,
+                const std::string &where);
 
 } // namespace lightridge

@@ -1,9 +1,10 @@
 /**
  * @file
  * Declarative experiment front end: ExperimentSpec JSON round-trips,
- * strict-parsing error paths (unknown fields, bad layer kinds, bad enum
- * strings), the registry-based layer factory, and a miniature end-to-end
- * runExperiment() pass per task kind.
+ * strict-parsing error paths (unknown fields, bad layer kinds and values,
+ * bad enum strings), the one layer schema specs and checkpoints share
+ * (LayerSchema), and a miniature end-to-end runExperiment() pass per task
+ * kind.
  */
 #include <gtest/gtest.h>
 
@@ -11,10 +12,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <stdexcept>
 #include <string>
 
 #include "api/experiment.hpp"
+#include "core/skip.hpp"
 #include "data/shard.hpp"
 #include "data/synth_city.hpp"
 #include "data/synth_digits.hpp"
@@ -114,7 +117,53 @@ TEST(ExperimentSpec, UnknownLayerParamThrows)
     EXPECT_THROW(ExperimentSpec::fromJson(nested), JsonError);
 }
 
-TEST(LayerFactory, SkipShortcutCountsHopsNotEntries)
+TEST(ExperimentSpec, BadLayerValuesThrowNamingTheKey)
+{
+    // Each value fails where it enters, as a JsonError naming its key:
+    // when the spec is parsed, and when a spec that skipped parsing is
+    // built (the layer constructors would throw std::invalid_argument).
+    auto entry = [](const char *text) { return Json::parse(text); };
+    const struct
+    {
+        const char *key;
+        Json layer;
+    } bad[] = {
+        {"tau", entry(R"({"kind": "codesign", "tau": 0})")},
+        {"tau", entry(R"({"kind": "codesign", "tau": -0.5})")},
+        {"levels", entry(R"({"kind": "codesign", "levels": 0})")},
+        {"levels", entry(R"({"kind": "codesign", "levels": 2.5})")},
+        {"lut", entry(R"({"kind": "codesign", "lut": []})")},
+        {"levels", entry(R"({"kind": "codesign", "levels": 4,
+                             "lut": [[1, 0]]})")},
+        {"inner", entry(R"({"kind": "skip", "inner": []})")},
+        {"count", entry(R"({"kind": "diffractive", "count": 0})")},
+        {"count", entry(R"({"kind": "diffractive", "count": 2,
+                            "phase": []})")},
+        {"modulation", entry(R"({"kind": "fixed"})")},
+        {"gama", entry(R"({"kind": "skip", "inner": [
+                            {"kind": "codesign", "gama": 1}]})")},
+    };
+    for (const auto &[key, layer] : bad) {
+        SCOPED_TRACE(layer.dump());
+        ExperimentSpec spec = tinySpec();
+        spec.layers = Json();
+        spec.layers.push(layer);
+        auto expectNamed = [key = key](const std::function<void()> &read) {
+            try {
+                read();
+                ADD_FAILURE() << "expected JsonError";
+            } catch (const JsonError &e) {
+                EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                    << e.what();
+            }
+        };
+        expectNamed([&] { ExperimentSpec::fromJson(spec.toJson()); });
+        Rng rng(1);
+        expectNamed([&] { buildSpecModel(spec, 10, &rng); });
+    }
+}
+
+TEST(LayerSchema, SkipShortcutCountsHopsNotEntries)
 {
     // LayerNorm is the identity at inference, so a layernorm inside the
     // skip interior must not change the shortcut's optical path length:
@@ -228,30 +277,89 @@ TEST(ExperimentSpec, ResolvedSystemAppliesHalfConeRule)
     EXPECT_GT(resolved.distance, 0.0);
 }
 
-TEST(LayerFactory, BuildsRegisteredKindsAndRejectsUnknown)
+TEST(LayerSchema, BuildsEveryKindAndRejectsUnknown)
 {
-    LayerFactory &factory = LayerFactory::instance();
-    EXPECT_TRUE(factory.has("diffractive"));
-    EXPECT_TRUE(factory.has("codesign"));
-    EXPECT_TRUE(factory.has("layernorm"));
-    EXPECT_TRUE(factory.has("skip"));
-    EXPECT_FALSE(factory.has("warp_drive"));
-
-    ExperimentSpec spec = tinySpec();
+    // One spec entry of every kind a model can hold; a fixed entry is
+    // valid only with its table, here 2 * 16 * 16 numbers of 1 + 0j.
+    Json fixed;
+    fixed["kind"] = Json("fixed");
+    for (std::size_t i = 0; i < 16 * 16; ++i) {
+        fixed["modulation"].push(Json(1.0));
+        fixed["modulation"].push(Json(0.0));
+    }
+    Json j = tinySpec().toJson();
+    j["layers"] = Json::parse(R"([
+        {"kind": "diffractive", "count": 2, "gamma": 0.9},
+        {"kind": "codesign", "levels": 8, "tau": 0.5},
+        {"kind": "layernorm", "eps": 1e-9, "subtract_mean": true},
+        {"kind": "skip", "inner": [{"kind": "diffractive"}],
+         "alpha": 0.6, "beta": 0.8}])");
+    j["layers"].push(fixed);
+    ExperimentSpec spec = ExperimentSpec::fromJson(j);
     Rng rng(1);
     DonnModel model = buildSpecModel(spec, 10, &rng);
-    EXPECT_EQ(model.depth(), 2u);
+    const char *kinds[] = {"diffractive", "diffractive", "codesign",
+                           "layernorm",   "skip",        "fixed"};
+    ASSERT_EQ(model.depth(), 6u);
+    for (std::size_t i = 0; i < model.depth(); ++i)
+        EXPECT_EQ(model.layer(i)->kind(), kinds[i]);
     EXPECT_EQ(model.detector().numClasses(), 10u);
 
-    LayerFactory::Context ctx;
-    ctx.model = &model;
-    ctx.rng = &rng;
     Json bad;
     bad["kind"] = Json("warp_drive");
-    EXPECT_THROW(factory.build(bad, ctx), JsonError);
+    spec.layers.push(bad);
+    try {
+        buildSpecModel(spec, 10, &rng);
+        ADD_FAILURE() << "unknown kind built";
+    } catch (const JsonError &e) {
+        EXPECT_NE(std::string(e.what()).find("warp_drive"),
+                  std::string::npos);
+    }
 }
 
-TEST(LayerFactory, SkipSpecNestsInnerLayers)
+TEST(LayerSchema, SavedLayersBuildAsSpecLayers)
+{
+    // A saved model's layers array is a valid spec architecture: the
+    // entries carry their parameters, so the build draws nothing and
+    // inference is bitwise the saved model's.
+    ExperimentSpec spec = tinySpec();
+    spec.layers = Json::parse(R"([
+        {"kind": "diffractive", "count": 2},
+        {"kind": "codesign", "count": 2, "levels": 8, "tau": 0.5,
+         "gamma": 0.9},
+        {"kind": "skip", "inner": [{"kind": "diffractive"},
+                                   {"kind": "layernorm"}]}])");
+    Rng rng(8);
+    DonnModel trained = buildSpecModel(spec, 10, &rng);
+    for (std::size_t i : {std::size_t{2}, std::size_t{3}}) // logits start 0
+        for (Real &logit : *trained.layer(i)->params().front().value)
+            logit = rng.uniform(-1.0, 1.0);
+    Rng fab(9);
+    DonnModel deployed =
+        deployRaw(buildSpecModel(tinySpec(), 10, &rng),
+                  SlmDevice::idealPhaseOnly(16),
+                  FabricationVariation{0.05, 0.02}, &fab);
+
+    RealMap image(16, 16, 0.1);
+    image(5, 9) = 1.0;
+    for (const DonnModel *saved : {&trained, &deployed}) {
+        ExperimentSpec rebuilt = tinySpec();
+        rebuilt.layers = Json::parse(saved->toJson().dump()).at("layers");
+        rebuilt = ExperimentSpec::fromJson(rebuilt.toJson());
+        Rng other(99);
+        DonnModel built = buildSpecModel(rebuilt, 10, &other);
+        SCOPED_TRACE(built.layer(0)->kind());
+        EXPECT_EQ(built.toJson().at("layers").dump(),
+                  saved->toJson().at("layers").dump());
+        Field a = saved->inferField(saved->encode(image));
+        Field b = built.inferField(built.encode(image));
+        ASSERT_EQ(a.size(), b.size());
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(Complex)),
+                  0);
+    }
+}
+
+TEST(LayerSchema, SkipSpecNestsInnerLayers)
 {
     ExperimentSpec spec = tinySpec();
     spec.task = "segmentation";
@@ -277,7 +385,28 @@ TEST(LayerFactory, SkipSpecNestsInnerLayers)
     EXPECT_EQ(model.layer(1)->kind(), "layernorm");
 }
 
-TEST(LayerFactory, CheckpointsLoadEveryLayerKindTheySave)
+TEST(LayerSchema, SkipWithoutSplitIsHalfSplitInSpecsAndCheckpoints)
+{
+    // A skip without alpha/beta is the 50:50 splitter whether a spec or a
+    // checkpoint holds it.
+    ExperimentSpec spec = tinySpec();
+    spec.layers = Json::parse(
+        R"([{"kind": "skip", "inner": [{"kind": "diffractive"}]}])");
+    Rng rng(3);
+    DonnModel built = buildSpecModel(spec, 10, &rng);
+    Json saved = built.toJson();
+    Json::Object &skip = saved["layers"].asArray()[0].asObject();
+    skip.erase("alpha");
+    skip.erase("beta");
+    DonnModel loaded = DonnModel::fromJson(saved);
+    for (const DonnModel *model : {&built, &loaded}) {
+        const Json split = model->layer(0)->toJson();
+        EXPECT_EQ(split.at("alpha").asNumber(), OpticalSkipLayer::kHalfSplit);
+        EXPECT_EQ(split.at("beta").asNumber(), OpticalSkipLayer::kHalfSplit);
+    }
+}
+
+TEST(LayerSchema, CheckpointsLoadEveryLayerKindTheySave)
 {
     // A checkpoint loads every layer kind a model saves, at any depth: a
     // layernorm or a nested skip inside a skip interior, and a deployed
@@ -336,7 +465,7 @@ TEST(LayerFactory, CheckpointsLoadEveryLayerKindTheySave)
 template <typename L>
 concept SetsGamma = requires(L &layer) { layer.setGamma(0.5); };
 
-TEST(LayerFactory, DeployedTablesHoldTheirGamma)
+TEST(LayerSchema, DeployedTablesHoldTheirGamma)
 {
     // deployRaw folds gamma into each table, so a fixed layer's gamma is
     // the constant 1: it is not saved, it has no setGamma, and

@@ -235,6 +235,27 @@ TEST(DonnModel, CraftedCheckpointFieldsThrowJsonError)
                  fixed["modulation"] = std::move(values);
                  j["layers"].push(std::move(fixed));
              }},
+            // A layer entry reads through the spec schema: unknown keys
+            // and the values a spec rejects fail here too.
+            {"gama", [](Json &j) {
+                 Json::Object &layer = j["layers"].asArray()[0].asObject();
+                 layer["gama"] = layer.at("gamma");
+                 layer.erase("gamma");
+             }},
+            {"tau",
+             [](Json &j) { j["layers"].asArray()[0]["tau"] = Json(0); }},
+            {"levels",
+             [](Json &j) { j["layers"].asArray()[0]["levels"] = Json(0); }},
+            {"lut", [](Json &j) {
+                 j["layers"].asArray()[0]["lut"] = Json(Json::Array{});
+             }},
+            {"inner", [](Json &j) {
+                 j["layers"].push(Json::parse(R"({"kind": "skip",
+                                                  "inner": []})"));
+             }},
+            {"warp_drive", [](Json &j) {
+                 j["layers"].push(Json::parse(R"({"kind": "warp_drive"})"));
+             }},
         };
     for (const auto &[field, edit] : edits) {
         Json j = good;

@@ -630,10 +630,22 @@ TEST(PerturbationSpecJson, StrictParsing)
                      "{\"lateral\": {\"dist\": \"uniform\", \"scale\": "
                      "-1e-6}}")),
                  JsonError);
-    EXPECT_THROW(PerturbationSpec::fromJson(Json::parse(
-                     "{\"axial\": {\"dist\": \"uniform\", \"scale\": "
-                     "1e-4, \"levels\": 1}}")),
-                 JsonError);
+    // levels is a checked integer >= 2: 2.5 used to load as 2, and 1e300
+    // reached an undefined float-to-int cast.
+    for (const char *levels : {"1", "2.5", "1e300"}) {
+        SCOPED_TRACE(levels);
+        try {
+            PerturbationSpec::fromJson(Json::parse(
+                std::string("{\"axial\": {\"dist\": \"uniform\", "
+                            "\"scale\": 1e-4, \"levels\": ") +
+                levels + "}}"));
+            ADD_FAILURE() << "expected JsonError";
+        } catch (const JsonError &e) {
+            EXPECT_NE(std::string(e.what()).find("perturbation.axial.levels"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
     EXPECT_THROW(PerturbationSpec::fromJson(
                      Json::parse("{\"phase_sigma\": -0.1}")),
                  JsonError);
