@@ -1,5 +1,6 @@
 #include "core/model.hpp"
 
+#include <cmath>
 #include <stdexcept>
 
 #include "core/layer_norm.hpp"
@@ -148,6 +149,12 @@ layerCount(const Json &entry, const char *params, const std::string &where)
     return count;
 }
 
+/** Most levels a codesign entry may ask for, as `levels` or as a `lut`'s
+ *  length: the 8-bit count SlmDevice models by default. A layer holds
+ *  n * n * levels logits, so an unbounded count fails in the allocator
+ *  with an error that names no key. */
+constexpr std::size_t kMaxCodesignLevels = 256;
+
 /**
  * The one reader of layer entries, from a spec or a checkpoint. It checks
  * the entry's kind, keys and values and, when `out` is set, appends its
@@ -190,13 +197,20 @@ readLayer(const Json &entry, const std::shared_ptr<const Propagator> &hop,
         const Real gamma = entry.numberOr("gamma", 1.0);
         const std::size_t levels =
             entry.has("levels")
-                ? entry.at("levels").asInteger(where + " levels", 1)
+                ? entry.at("levels").asInteger(where + " levels", 1,
+                                               kMaxCodesignLevels)
                 : 16;
         DeviceLut lut;
         if (entry.has("lut")) {
             if (entry.has("levels"))
                 throw JsonError(where + ": levels beside lut");
-            for (const Json &level : entry.at("lut").asArray()) {
+            const Json::Array &lut_entries = entry.at("lut").asArray();
+            if (lut_entries.size() > kMaxCodesignLevels)
+                throw JsonError(where + ": lut must hold at most " +
+                                std::to_string(kMaxCodesignLevels) +
+                                " levels, got " +
+                                std::to_string(lut_entries.size()));
+            for (const Json &level : lut_entries) {
                 const Json::Array &pair = level.asArray();
                 if (pair.size() != 2)
                     throw JsonError(where + " lut entry must be [re, im], "
@@ -238,6 +252,8 @@ readLayer(const Json &entry, const std::shared_ptr<const Propagator> &hop,
     } else if (kind == "layernorm") {
         expectKeys(entry, {"kind", "eps", "subtract_mean"}, where);
         const Real eps = entry.numberOr("eps", 1e-12);
+        if (!(eps > 0 && std::isfinite(eps)))
+            throw JsonError(where + ": eps must be a finite number > 0");
         const bool subtract_mean = entry.has("subtract_mean") &&
                                    entry.at("subtract_mean").asBool();
         if (out != nullptr)

@@ -24,7 +24,11 @@
  * "checkpoint" entries load trained models (header-verified); "spec"
  * entries build the architecture of an ExperimentSpec with untrained
  * weights (latency/smoke testing). "batching" takes only those two
- * keys, each an integer >= 1 (anything else exits 2).
+ * keys, each an integer >= 1. Keys are strict: the manifest takes only
+ * "models" and "batching", a model entry "name" plus exactly one of
+ * "checkpoint" and "spec", and an ensemble entry (below) "name",
+ * "kind": "ensemble", "members" and "fusion". Anything else exits 2
+ * naming the key.
  *
  * Requests, one JSON object per line (file or stdin) — the same schema
  * the HTTP route accepts as a body:
@@ -35,7 +39,7 @@
  *    "sample": {"dataset": "digits", "seed": 5, "index": 3}}
  * "sample" requests synthesize the referenced dataset sample; their
  * responses carry the ground-truth "label" so accuracy can be scored
- * downstream (the CI serve-smoke job does exactly this).
+ * downstream (tools/smoke.py serve does exactly this).
  *
  * Socket mode (--listen): serves POST /v1/models/<name>/infer,
  * GET /healthz, GET /metrics until SIGINT/SIGTERM, then shuts down
@@ -89,6 +93,19 @@ usage()
         "Serves the models of a JSON manifest through the micro-batching\n"
         "InferenceEngine: against a JSON-lines request stream, or (with\n"
         "--listen) over an HTTP/1.1 socket until SIGINT/SIGTERM.\n");
+}
+
+/** Whether a manifest entry declares an ensemble; any other "kind" is a
+ *  JsonError, never a plain model. */
+bool
+isEnsemble(const Json &entry)
+{
+    if (!entry.has("kind"))
+        return false;
+    const std::string &kind = entry.at("kind").asString();
+    if (kind != "ensemble")
+        throw JsonError("unknown model kind: " + kind);
+    return true;
 }
 
 volatile std::sig_atomic_t g_shutdown = 0;
@@ -301,6 +318,7 @@ serve(int argc, char **argv)
     BatchingConfig batching;
     try {
         Json manifest = Json::load(manifest_path);
+        expectKeys(manifest, {"models", "batching"}, "manifest");
         if (manifest.has("batching"))
             batching = BatchingConfig::fromJson(manifest.at("batching"));
         // Two passes: models first, then ensembles, so an ensemble may
@@ -313,13 +331,20 @@ serve(int argc, char **argv)
             if (!seen.insert(name).second)
                 throw JsonError("manifest declares model \"" + name +
                                 "\" more than once");
-            if (entry.has("kind") &&
-                entry.at("kind").asString() == "ensemble")
+            const std::string where = "manifest model \"" + name + "\"";
+            if (isEnsemble(entry)) {
+                expectKeys(entry, {"name", "kind", "members", "fusion"},
+                           where);
                 continue;
+            }
+            expectKeys(entry, {"name", "checkpoint", "spec"}, where);
+            if (entry.has("checkpoint") == entry.has("spec"))
+                throw JsonError(where + " takes exactly one of "
+                                "\"checkpoint\" and \"spec\"");
             if (entry.has("checkpoint")) {
                 registry.registerCheckpoint(
                     name, entry.at("checkpoint").asString());
-            } else if (entry.has("spec")) {
+            } else {
                 ExperimentSpec spec =
                     ExperimentSpec::load(entry.at("spec").asString());
                 std::size_t classes = spec.detector.classes;
@@ -332,9 +357,6 @@ serve(int argc, char **argv)
                 // layers store it — noise is a training-only concern).
                 bindModelNoiseRng(model, nullptr);
                 registry.registerModel(name, std::move(model));
-            } else {
-                throw JsonError("manifest model \"" + name +
-                                "\" needs \"checkpoint\" or \"spec\"");
             }
             if (!quiet)
                 std::fprintf(stderr, "[serve] registered %s (%zux%zu)\n",
@@ -343,8 +365,7 @@ serve(int argc, char **argv)
                              registry.acquire(name)->spec().size);
         }
         for (const Json &entry : manifest.at("models").asArray()) {
-            if (!entry.has("kind") ||
-                entry.at("kind").asString() != "ensemble")
+            if (!isEnsemble(entry))
                 continue;
             EnsembleSpec spec;
             spec.name = entry.at("name").asString();

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -123,6 +124,11 @@ TEST(ExperimentSpec, BadLayerValuesThrowNamingTheKey)
     // when the spec is parsed, and when a spec that skipped parsing is
     // built (the layer constructors would throw std::invalid_argument).
     auto entry = [](const char *text) { return Json::parse(text); };
+    Json long_lut = entry(R"({"kind": "codesign"})");
+    for (int i = 0; i < 257; ++i)
+        long_lut["lut"].push(entry("[1, 0]"));
+    Json inf_eps = entry(R"({"kind": "layernorm"})");
+    inf_eps["eps"] = Json(std::numeric_limits<double>::infinity());
     const struct
     {
         const char *key;
@@ -132,7 +138,10 @@ TEST(ExperimentSpec, BadLayerValuesThrowNamingTheKey)
         {"tau", entry(R"({"kind": "codesign", "tau": -0.5})")},
         {"levels", entry(R"({"kind": "codesign", "levels": 0})")},
         {"levels", entry(R"({"kind": "codesign", "levels": 2.5})")},
+        {"levels", entry(R"({"kind": "codesign", "levels": 257})")},
+        {"levels", entry(R"({"kind": "codesign", "levels": 1e12})")},
         {"lut", entry(R"({"kind": "codesign", "lut": []})")},
+        {"lut", long_lut},
         {"levels", entry(R"({"kind": "codesign", "levels": 4,
                              "lut": [[1, 0]]})")},
         {"inner", entry(R"({"kind": "skip", "inner": []})")},
@@ -140,6 +149,9 @@ TEST(ExperimentSpec, BadLayerValuesThrowNamingTheKey)
         {"count", entry(R"({"kind": "diffractive", "count": 2,
                             "phase": []})")},
         {"modulation", entry(R"({"kind": "fixed"})")},
+        {"eps", entry(R"({"kind": "layernorm", "eps": -1})")},
+        {"eps", entry(R"({"kind": "layernorm", "eps": 0})")},
+        {"eps", inf_eps},
         {"gama", entry(R"({"kind": "skip", "inner": [
                             {"kind": "codesign", "gama": 1}]})")},
     };

@@ -249,6 +249,25 @@ TEST(DonnModel, CraftedCheckpointFieldsThrowJsonError)
             {"lut", [](Json &j) {
                  j["layers"].asArray()[0]["lut"] = Json(Json::Array{});
              }},
+            // At most 256 device levels, as `levels` or as a lut.
+            {"levels", [](Json &j) {
+                 Json::Object &layer = j["layers"].asArray()[0].asObject();
+                 layer.erase("lut");
+                 layer["levels"] = Json(1e12);
+             }},
+            {"lut", [](Json &j) {
+                 Json &lut = j["layers"].asArray()[0]["lut"];
+                 while (lut.asArray().size() <= 256)
+                     lut.push(lut.asArray()[0]);
+             }},
+            {"eps", [](Json &j) {
+                 j["layers"].push(Json::parse(R"({"kind": "layernorm",
+                                                  "eps": -1})"));
+             }},
+            {"eps", [](Json &j) {
+                 j["layers"].push(Json::parse(R"({"kind": "layernorm",
+                                                  "eps": 0})"));
+             }},
             {"inner", [](Json &j) {
                  j["layers"].push(Json::parse(R"({"kind": "skip",
                                                   "inner": []})"));
